@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -17,7 +16,6 @@
 #include "core/searcher.h"
 #include "core/trie.h"
 #include "io/dataset.h"
-#include "util/result.h"
 #include "util/status.h"
 
 namespace sss {
@@ -58,27 +56,7 @@ class CompressedTrieSearcher final : public Searcher {
 
   TriePruning pruning() const noexcept { return pruning_; }
 
-  /// \brief Serializes the built index (checksummed; labels are stored as
-  /// offsets into the dataset's string pool). Reloading against a dataset
-  /// whose bytes differ is detected and rejected.
-  Status SaveIndex(const std::string& path) const;
-
-  /// \brief Loads an index previously saved over (byte-identical)
-  /// `dataset`, skipping the build. The dataset must outlive the searcher.
-  static Result<std::unique_ptr<CompressedTrieSearcher>> LoadIndex(
-      const std::string& path, const Dataset& dataset);
-
  private:
-  // Tag ctor used by LoadIndex: members initialized, no build.
-  struct SkipBuild {};
-  CompressedTrieSearcher(SnapshotHandle snapshot, TriePruning pruning,
-                         bool frequency_bounds, SkipBuild)
-      : snapshot_(std::move(snapshot)),
-        dataset_(snapshot_->dataset()),
-        pruning_(pruning),
-        frequency_bounds_(frequency_bounds),
-        buckets_(dataset_.alphabet()) {}
-
   Status SearchBanded(const Query& query, const SearchContext& ctx,
                       MatchList* out) const;
   Status SearchPaperRule(const Query& query, const SearchContext& ctx,

@@ -29,14 +29,8 @@ constexpr EngineSpecEntry kEngineSpecRegistry[] = {
      [] { return EngineSpec::For(EngineKind::kTrieIndex); }},
     {"ctrie", "ctrie", "exact compressed (path-collapsed) trie index",
      [] { return EngineSpec::For(EngineKind::kCompressedTrieIndex); }},
-    {"qgram", "qgram", "exact inverted q-gram index",
-     [] { return EngineSpec::For(EngineKind::kQGramIndex); }},
     {"partition", "partition", "exact pigeonhole partition index",
      [] { return EngineSpec::For(EngineKind::kPartitionIndex); }},
-    {"packed", "packed", "exact scan over 2-bit-packed DNA",
-     [] { return EngineSpec::For(EngineKind::kPackedDnaScan); }},
-    {"bktree", "bktree", "exact Burkhard-Keller metric tree",
-     [] { return EngineSpec::For(EngineKind::kBKTree); }},
     {"auto", "auto",
      "dataset-profiled scan/trie router with deadline degradation",
      [] { return EngineSpec::Auto(); }},

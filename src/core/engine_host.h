@@ -50,6 +50,13 @@ inline constexpr uint8_t kAutoEngineId = 0xF0;
 /// \brief Wire id of the approximate tier (ApproxSearcher).
 inline constexpr uint8_t kApproxEngineId = 0xF1;
 
+// EngineSpec::For serves each engine under uint8_t(EngineKind); clients of
+// older builds address engines by these ids, so they must never move.
+static_assert(static_cast<uint8_t>(EngineKind::kSequentialScan) == 0);
+static_assert(static_cast<uint8_t>(EngineKind::kTrieIndex) == 1);
+static_assert(static_cast<uint8_t>(EngineKind::kCompressedTrieIndex) == 2);
+static_assert(static_cast<uint8_t>(EngineKind::kPartitionIndex) == 4);
+
 /// \brief One engine to build per generation: a wire id plus what to build.
 struct EngineSpec {
   /// Id the engine is served under — conventionally uint8_t(EngineKind),
@@ -82,9 +89,9 @@ struct EngineSpec {
 };
 
 /// \brief Parses an engine spec as used by the tools (--engine): a
-/// registered name (scan, trie, ctrie, qgram, partition, packed, bktree,
-/// auto, approx), optionally followed by ':' and comma-separated key=value
-/// options for specs that take them (today: approx:tables=N,bits=M).
+/// registered name (scan, trie, ctrie, partition, auto, approx),
+/// optionally followed by ':' and comma-separated key=value options for
+/// specs that take them (today: approx:tables=N,bits=M).
 /// Unknown names and malformed options fail with a message enumerating
 /// every registered spec, so --engine typos are self-explaining.
 Result<EngineSpec> ParseEngineSpec(const std::string& name);

@@ -6,11 +6,8 @@
 #include <thread>
 
 #include "core/batch_planner.h"
-#include "core/bktree.h"
 #include "core/compressed_trie.h"
-#include "core/packed_scan.h"
 #include "core/partition_index.h"
-#include "core/qgram_index.h"
 #include "core/scan.h"
 #include "core/trie.h"
 #include "parallel/adaptive_pool.h"
@@ -410,14 +407,8 @@ std::string ToString(EngineKind kind) {
       return "trie_index";
     case EngineKind::kCompressedTrieIndex:
       return "compressed_trie_index";
-    case EngineKind::kQGramIndex:
-      return "qgram_index";
     case EngineKind::kPartitionIndex:
       return "partition_index";
-    case EngineKind::kPackedDnaScan:
-      return "packed_dna_scan";
-    case EngineKind::kBKTree:
-      return "bk_tree";
   }
   return "?";
 }
@@ -470,13 +461,6 @@ Result<std::unique_ptr<Searcher>> MakeSearcher(EngineKind kind,
       auto trie = std::make_unique<CompressedTrieSearcher>(std::move(snapshot));
       return std::unique_ptr<Searcher>(std::move(trie));
     }
-    case EngineKind::kQGramIndex: {
-      QGramIndexOptions options;
-      // Longer grams pay off on long low-entropy strings.
-      options.q = dataset.alphabet() == AlphabetKind::kDna ? 6 : 3;
-      return std::unique_ptr<Searcher>(
-          new QGramIndexSearcher(std::move(snapshot), options));
-    }
     case EngineKind::kPartitionIndex: {
       PartitionIndexOptions options;
       // Cover the workload's Table-I threshold ladder.
@@ -484,14 +468,6 @@ Result<std::unique_ptr<Searcher>> MakeSearcher(EngineKind kind,
       return std::unique_ptr<Searcher>(
           new PartitionIndexSearcher(std::move(snapshot), options));
     }
-    case EngineKind::kPackedDnaScan: {
-      SSS_ASSIGN_OR_RETURN(std::unique_ptr<PackedDnaScanSearcher> packed,
-                           PackedDnaScanSearcher::Make(std::move(snapshot)));
-      return std::unique_ptr<Searcher>(std::move(packed));
-    }
-    case EngineKind::kBKTree:
-      return std::unique_ptr<Searcher>(
-          new BKTreeSearcher(std::move(snapshot)));
   }
   return Status::Invalid("unknown engine kind");
 }

@@ -169,15 +169,14 @@ class Searcher {
                               const SearchContext& ctx) const;
 };
 
-/// \brief Which engine to construct.
+/// \brief Which engine to construct. The value is the engine's wire id (the
+/// protocol's engine byte), so values are explicit and never reused: 3, 5
+/// and 6 named retired engines and now resolve to no engine.
 enum class EngineKind {
-  kSequentialScan,       // the paper's contribution (§3)
-  kTrieIndex,            // the paper's index (§4.1)
-  kCompressedTrieIndex,  // §4.2
-  kQGramIndex,           // related-work baseline: inverted q-gram index
-  kPartitionIndex,       // related-work baseline: pigeonhole partitioning
-  kPackedDnaScan,        // §6 future work: scan over 3-bit-packed reads
-  kBKTree,               // classic metric-tree baseline (Burkhard–Keller)
+  kSequentialScan = 0,       // the paper's contribution (§3)
+  kTrieIndex = 1,            // the paper's index (§4.1)
+  kCompressedTrieIndex = 2,  // §4.2
+  kPartitionIndex = 4,       // related-work baseline: pigeonhole partitioning
 };
 
 /// \brief Human-readable engine name.

@@ -35,6 +35,9 @@ class ChecksummingWriter {
       : f_(f), path_(path) {}
 
   Status Write(const void* data, size_t len) {
+    // An empty dataset hands in a null data pointer; fwrite's pointer
+    // argument is declared nonnull even for a zero length.
+    if (len == 0) return Status::OK();
     if (std::fwrite(data, 1, len, f_) != len) {
       return Status::IOError("short write to '" + path_ + "'");
     }

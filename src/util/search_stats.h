@@ -43,16 +43,12 @@ namespace sss {
   X(dispatch_tier)                  \
   X(trie_nodes_visited)             \
   X(trie_nodes_pruned)              \
-  X(bktree_distance_calls)          \
-  X(qgram_candidates)               \
   X(partition_probes)               \
   X(approx_embeddings_built)        \
   X(approx_buckets_probed)          \
   X(approx_candidates_generated)    \
   X(approx_candidates_filtered)     \
   X(approx_candidates_verified)     \
-  X(cache_hits)                     \
-  X(cache_misses)                   \
   X(degraded_probes)                \
   X(degraded_to_scan)               \
   X(degraded_to_approx)             \
@@ -109,8 +105,8 @@ struct KernelCounters {
 ///     the resolved KernelTier (0=scalar 1=swar 2=avx2) the batch drivers
 ///     record once per batch — comparable across strategies, meaningless
 ///     to sum across batches run under different tiers;
-///   * index traversal — trie_nodes_*, bktree_distance_calls,
-///     qgram_candidates, partition_probes: work the index structures did;
+///   * index traversal — trie_nodes_*, partition_probes: work the index
+///     structures did;
 ///   * approx tier — approx_embeddings_built (CGK embeddings computed for
 ///     query strings), approx_buckets_probed (LSH bucket lookups: tables per
 ///     query), approx_candidates_generated (ids surfaced by bucket probes,
@@ -120,9 +116,9 @@ struct KernelCounters {
 ///     approx_candidates_filtered (generated − verified: cross-table
 ///     duplicates plus length-filter rejects). generated == filtered +
 ///     verified always holds;
-///   * decorators — cache_hits/misses (CachedSearcher), degraded_probes
-///     (AutoSearcher's trie probe falling back under deadline pressure),
-///     split by where the degraded query actually went: degraded_to_scan
+///   * decorators — degraded_probes (AutoSearcher's trie probe falling
+///     back under deadline pressure), split by where the degraded query
+///     actually went: degraded_to_scan
 ///     (exact sequential scan) vs degraded_to_approx (LSH tier when the
 ///     remaining budget cannot afford the scan). degraded_probes ==
 ///     degraded_to_scan + degraded_to_approx on the probe path;

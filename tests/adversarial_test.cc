@@ -19,8 +19,7 @@ std::vector<std::unique_ptr<Searcher>> AllGenericEngines(const Dataset& d) {
   std::vector<std::unique_ptr<Searcher>> engines;
   for (EngineKind kind :
        {EngineKind::kSequentialScan, EngineKind::kTrieIndex,
-        EngineKind::kCompressedTrieIndex, EngineKind::kQGramIndex,
-        EngineKind::kPartitionIndex, EngineKind::kBKTree}) {
+        EngineKind::kCompressedTrieIndex, EngineKind::kPartitionIndex}) {
     engines.push_back(std::move(MakeSearcher(kind, d)).ValueOrDie());
   }
   return engines;

@@ -50,6 +50,16 @@ TEST(EngineSpecTest, ParseKnownNames) {
   EXPECT_TRUE(autor->auto_router);
 
   EXPECT_FALSE(ParseEngineSpec("no_such_engine").ok());
+  // Retired engines are unknown names, and the diagnostic offers only the
+  // engines that remain.
+  for (const char* retired : {"packed", "qgram", "bktree"}) {
+    const auto result = ParseEngineSpec(retired);
+    ASSERT_FALSE(result.ok()) << retired;
+    const std::string msg = result.status().ToString();
+    EXPECT_TRUE(msg.ends_with("registered engines: scan, trie, ctrie, "
+                              "partition, auto, approx[:tables=N,bits=M]"))
+        << msg;
+  }
 }
 
 TEST(EngineSpecTest, ParseApproxSpecWithOptions) {
@@ -78,8 +88,7 @@ TEST(EngineSpecTest, UnknownNameErrorEnumeratesTheRegistry) {
   EXPECT_NE(msg.find("unknown engine 'nope'"), std::string::npos) << msg;
   // The diagnostic lists every registered spec, so a typo is self-repairing.
   for (const char* name :
-       {"scan", "trie", "ctrie", "qgram", "partition", "packed", "bktree",
-        "auto", "approx"}) {
+       {"scan", "trie", "ctrie", "partition", "auto", "approx"}) {
     EXPECT_NE(msg.find(name), std::string::npos) << "missing " << name;
   }
   EXPECT_NE(KnownEngineSpecsHelp().find("approx"), std::string::npos);

@@ -27,7 +27,6 @@
 #include <gtest/gtest.h>
 
 #include "core/lane_pool.h"
-#include "core/packed_scan.h"
 #include "core/scan.h"
 #include "core/searcher.h"
 #include "core/simd_verify.h"
@@ -329,27 +328,6 @@ TEST(KernelEquivalenceTest, ScanEngineIdenticalAcrossTierChoices) {
       ctx.kernel_tier = choice;
       MatchList got;
       ASSERT_TRUE(scan.Search(query, ctx, &got).ok());
-      EXPECT_EQ(got, want) << "choice=" << ToString(choice) << " q=\""
-                           << query.text << "\" k=" << query.max_distance;
-    }
-  }
-}
-
-TEST(KernelEquivalenceTest, PackedEngineIdenticalAcrossTierChoices) {
-  Xoshiro256 rng(12);
-  const Dataset dataset = testing::RandomDataset(&rng, "ACGTN", 300, 60, 130,
-                                                 AlphabetKind::kDna);
-  auto packed = PackedDnaScanSearcher::Make(dataset);
-  ASSERT_TRUE(packed.ok());
-  for (int i = 0; i < 20; ++i) {
-    const Query query{RandomString(&rng, "ACGTN", 60, 130),
-                      static_cast<int>(rng.Uniform(11))};
-    const MatchList want = BruteForceSearch(dataset, query);
-    for (KernelTierChoice choice : kAllChoices) {
-      SearchContext ctx;
-      ctx.kernel_tier = choice;
-      MatchList got;
-      ASSERT_TRUE((*packed)->Search(query, ctx, &got).ok());
       EXPECT_EQ(got, want) << "choice=" << ToString(choice) << " q=\""
                            << query.text << "\" k=" << query.max_distance;
     }

@@ -26,25 +26,12 @@ TEST(SearcherFactoryTest, BuildsEveryEngineKind) {
   d.Add("beta");
   for (EngineKind kind :
        {EngineKind::kSequentialScan, EngineKind::kTrieIndex,
-        EngineKind::kCompressedTrieIndex, EngineKind::kQGramIndex,
-        EngineKind::kPartitionIndex}) {
+        EngineKind::kCompressedTrieIndex, EngineKind::kPartitionIndex}) {
     auto searcher = MakeSearcher(kind, d);
     ASSERT_TRUE(searcher.ok()) << ToString(kind);
     EXPECT_EQ((*searcher)->name(), ToString(kind));
     EXPECT_EQ((*searcher)->Search({"alpha", 0}), (MatchList{0}));
   }
-}
-
-TEST(SearcherFactoryTest, PackedScanRequiresDnaData) {
-  Dataset generic("x", AlphabetKind::kGeneric);
-  generic.Add("alpha");
-  EXPECT_FALSE(MakeSearcher(EngineKind::kPackedDnaScan, generic).ok());
-
-  Dataset dna("y", AlphabetKind::kDna);
-  dna.Add("ACGT");
-  auto searcher = MakeSearcher(EngineKind::kPackedDnaScan, dna);
-  ASSERT_TRUE(searcher.ok());
-  EXPECT_EQ((*searcher)->Search({"ACGT", 0}), (MatchList{0}));
 }
 
 TEST(SearcherFactoryTest, ToStringNames) {
@@ -66,8 +53,7 @@ TEST_P(EngineAgreementTest, AllEnginesReturnIdenticalBatches) {
   std::vector<std::unique_ptr<Searcher>> engines;
   for (EngineKind kind :
        {EngineKind::kSequentialScan, EngineKind::kTrieIndex,
-        EngineKind::kCompressedTrieIndex, EngineKind::kQGramIndex,
-        EngineKind::kPartitionIndex}) {
+        EngineKind::kCompressedTrieIndex, EngineKind::kPartitionIndex}) {
     engines.push_back(std::move(MakeSearcher(kind, d)).ValueOrDie());
   }
   QuerySet queries;
@@ -192,8 +178,7 @@ TEST(SearchCancellationTest, InactiveContextMatchesConvenienceOverloads) {
   }
   for (EngineKind kind :
        {EngineKind::kSequentialScan, EngineKind::kTrieIndex,
-        EngineKind::kCompressedTrieIndex, EngineKind::kQGramIndex,
-        EngineKind::kPartitionIndex, EngineKind::kBKTree}) {
+        EngineKind::kCompressedTrieIndex, EngineKind::kPartitionIndex}) {
     auto searcher = std::move(MakeSearcher(kind, d)).ValueOrDie();
     for (const Query& q : queries) {
       MatchList via_ctx;

@@ -106,8 +106,7 @@ TEST(StatsConsistencyTest, IndexEngineCountersIdenticalAcrossStrategies) {
   const QuerySet queries = MakeQueries(&rng, "abcd", 24, 20, 2);
   for (EngineKind kind :
        {EngineKind::kTrieIndex, EngineKind::kCompressedTrieIndex,
-        EngineKind::kQGramIndex, EngineKind::kPartitionIndex,
-        EngineKind::kBKTree}) {
+        EngineKind::kPartitionIndex}) {
     auto searcher = std::move(MakeSearcher(kind, d)).ValueOrDie();
     const SearchStats serial = EngineSide(
         CollectBatchStats(*searcher, queries, ExecutionStrategy::kSerial));
@@ -260,7 +259,7 @@ TEST(StatsConsistencyTest, MatchesFoundAgreesWithReturnedMatches) {
   const QuerySet queries = MakeQueries(&rng, "abc", 20, 10, 2);
   for (EngineKind kind :
        {EngineKind::kSequentialScan, EngineKind::kTrieIndex,
-        EngineKind::kQGramIndex, EngineKind::kPartitionIndex}) {
+        EngineKind::kPartitionIndex}) {
     auto searcher = std::move(MakeSearcher(kind, d)).ValueOrDie();
     StatsSink sink;
     SearchContext ctx;
@@ -415,8 +414,7 @@ TEST(StatsConsistencyTest, NoSinkMeansNoCrash) {
   Dataset d = RandomDataset(&rng, "ab", 50, 1, 8);
   const QuerySet queries = MakeQueries(&rng, "ab", 8, 8, 1);
   for (EngineKind kind :
-       {EngineKind::kSequentialScan, EngineKind::kTrieIndex,
-        EngineKind::kQGramIndex}) {
+       {EngineKind::kSequentialScan, EngineKind::kTrieIndex}) {
     auto searcher = std::move(MakeSearcher(kind, d)).ValueOrDie();
     for (ExecutionStrategy strategy : kAllStrategies) {
       const BatchResult batch =

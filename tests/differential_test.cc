@@ -50,14 +50,8 @@ TEST_P(DifferentialTest, AllEnginesAgreeOnRandomWorkload) {
   std::vector<std::unique_ptr<Searcher>> engines;
   for (EngineKind kind :
        {EngineKind::kSequentialScan, EngineKind::kTrieIndex,
-        EngineKind::kCompressedTrieIndex, EngineKind::kQGramIndex,
-        EngineKind::kPartitionIndex, EngineKind::kBKTree}) {
+        EngineKind::kCompressedTrieIndex, EngineKind::kPartitionIndex}) {
     engines.push_back(std::move(MakeSearcher(kind, d)).ValueOrDie());
-  }
-  if (d.alphabet() == AlphabetKind::kDna) {
-    auto packed = MakeSearcher(EngineKind::kPackedDnaScan, d);
-    ASSERT_TRUE(packed.ok());
-    engines.push_back(std::move(packed).ValueUnsafe());
   }
   // The approx tier is fuzzed alongside under its own (one-sided) contract:
   // whatever it returns must be a subset of brute force — a false positive
@@ -131,14 +125,8 @@ TEST_P(CrossStrategyDifferentialTest, AllStrategiesAgreeOnRandomWorkload) {
   std::vector<std::unique_ptr<Searcher>> engines;
   for (EngineKind kind :
        {EngineKind::kSequentialScan, EngineKind::kTrieIndex,
-        EngineKind::kCompressedTrieIndex, EngineKind::kQGramIndex,
-        EngineKind::kPartitionIndex, EngineKind::kBKTree}) {
+        EngineKind::kCompressedTrieIndex, EngineKind::kPartitionIndex}) {
     engines.push_back(std::move(MakeSearcher(kind, d)).ValueOrDie());
-  }
-  if (d.alphabet() == AlphabetKind::kDna) {
-    auto packed = MakeSearcher(EngineKind::kPackedDnaScan, d);
-    ASSERT_TRUE(packed.ok());
-    engines.push_back(std::move(packed).ValueUnsafe());
   }
   // The approx tier joins the cross-strategy net compared against its own
   // serial baseline (a strategy is only an execution plan), not the

@@ -40,7 +40,11 @@ TEST(AdaptivePoolTest, StartsWithInitialThreads) {
   options.min_threads = 1;
   options.max_threads = 8;
   AdaptivePool pool(options);
-  EXPECT_EQ(pool.live_threads(), 3u);
+  // The constructor opens the initial workers before the master starts, so
+  // these counts are settled on return. live_threads() is not: the master
+  // may already have closed an idle worker.
+  EXPECT_EQ(pool.total_opens(), 3u);
+  EXPECT_EQ(pool.peak_threads(), 3u);
 }
 
 TEST(AdaptivePoolTest, OpensWorkersUnderSustainedPressure) {

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -137,6 +138,11 @@ TEST_F(ServerTest, UnknownEngineIdIsRejectedNotFatal) {
   request.k = 1;
   request.query = "abc";
   Response response;
+  ASSERT_TRUE(client->Call(request, &response).ok());
+  EXPECT_EQ(response.code, StatusCode::kInvalid);
+
+  // A retired engine's id (5 named the packed DNA scan) is just as unknown.
+  request.engine = 5;
   ASSERT_TRUE(client->Call(request, &response).ok());
   EXPECT_EQ(response.code, StatusCode::kInvalid);
 
@@ -358,6 +364,18 @@ class ServerRobustnessTest : public ServerTest {
     ASSERT_TRUE(client->Search("abc", 1, 0, &response).ok());
     EXPECT_EQ(response.code, StatusCode::kOk);
   }
+
+  // A vanished peer's EOF is counted when the reactor reads it, and on a
+  // loaded box that can come after a fresh connection's whole exchange.
+  // Stop() discards unread input, so wait (bounded) for the count first.
+  static void WaitForProtocolError(const Server& server) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (server.counters().protocol_errors.load() == 0 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
 };
 
 TEST_F(ServerRobustnessTest, GarbageMagicGetsErrorFrameThenClose) {
@@ -384,6 +402,7 @@ TEST_F(ServerRobustnessTest, TruncatedHeaderDisconnectIsHandled) {
   }
   // Reconnecting proves the handler thread didn't take the server down.
   ExpectStillServing(*server);
+  WaitForProtocolError(*server);
   server->Stop();
   EXPECT_GE(server->counters().protocol_errors.load(), 1u);
 }
@@ -402,6 +421,7 @@ TEST_F(ServerRobustnessTest, MidFrameDisconnectIsHandled) {
     raw.Close();
   }
   ExpectStillServing(*server);
+  WaitForProtocolError(*server);
   server->Stop();
   EXPECT_GE(server->counters().protocol_errors.load(), 1u);
 }
@@ -574,7 +594,9 @@ TEST_F(ServerHostTest, AdminFramesWithoutAHostAreRejectedNotFatal) {
 // while the dataset file is rewritten and reloaded mid-flight. Required:
 // zero transport errors, every response OK, every answer consistent with
 // exactly one generation (old count or new count, never a mix), and both
-// generations observed across the run.
+// generations observed across the run. The reload starts on the first
+// old-generation answer and each client runs until it sees the new one, so
+// both generations are observed however the threads are scheduled.
 TEST_F(ServerHostTest, ReloadUnderLoadLosesNoRequestsAndMixesNoGenerations) {
   constexpr size_t kOldSize = 40;
   constexpr size_t kNewSize = 70;
@@ -592,11 +614,20 @@ TEST_F(ServerHostTest, ReloadUnderLoadLosesNoRequestsAndMixesNoGenerations) {
 
   constexpr size_t kClients = 8;
   constexpr size_t kRequestsPerClient = 150;
+  // Bounds a client whose reload never lands; far above what a run needs.
+  constexpr size_t kMaxRequestsPerClient = 100000;
   std::atomic<uint64_t> transport_errors{0};
   std::atomic<uint64_t> wrong_answers{0};
   std::atomic<uint64_t> non_ok{0};
   std::mutex gen_mu;
   std::set<uint64_t> generations;
+  // Trips once: on the first old-generation answer, or when a client gives
+  // up, so the reload below never waits forever.
+  std::latch serving_old(1);
+  std::atomic<bool> tripped{false};
+  const auto trip = [&] {
+    if (!tripped.exchange(true)) serving_old.count_down();
+  };
 
   std::vector<std::thread> clients;
   for (size_t c = 0; c < kClients; ++c) {
@@ -604,12 +635,17 @@ TEST_F(ServerHostTest, ReloadUnderLoadLosesNoRequestsAndMixesNoGenerations) {
       auto client = Client::Connect("127.0.0.1", server.port());
       if (!client.ok()) {
         transport_errors.fetch_add(1, std::memory_order_relaxed);
+        trip();
         return;
       }
-      for (size_t i = 0; i < kRequestsPerClient; ++i) {
+      bool saw_new = false;
+      for (size_t i = 0;
+           i < kMaxRequestsPerClient && (i < kRequestsPerClient || !saw_new);
+           ++i) {
         Response response;
         if (!client->Search("aaaa", 0, 0, &response).ok()) {
           transport_errors.fetch_add(1, std::memory_order_relaxed);
+          trip();
           return;
         }
         if (response.code != StatusCode::kOk) {
@@ -623,14 +659,19 @@ TEST_F(ServerHostTest, ReloadUnderLoadLosesNoRequestsAndMixesNoGenerations) {
         if (response.matches.size() != expected) {
           wrong_answers.fetch_add(1, std::memory_order_relaxed);
         }
-        std::lock_guard<std::mutex> lock(gen_mu);
-        generations.insert(response.generation);
+        saw_new = saw_new || response.generation != old_generation;
+        {
+          std::lock_guard<std::mutex> lock(gen_mu);
+          generations.insert(response.generation);
+        }
+        trip();  // answers before the reload are all old-generation
       }
+      trip();
     });
   }
 
-  // Swap the collection once the run is underway.
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  // Swap the collection once the run is serving the old generation.
+  serving_old.wait();
   WriteUniformDataset(kNewSize);
   ASSERT_TRUE(server.Reload().ok());
   for (std::thread& t : clients) t.join();

@@ -88,7 +88,7 @@ TEST(StatsSinkTest, RecordAndCollect) {
 TEST(StatsSinkTest, ResetZeroesAllShards) {
   StatsSink sink;
   SearchStats delta;
-  delta.cache_hits = 9;
+  delta.degraded_probes = 9;
   sink.Record(delta);
   sink.Reset();
   EXPECT_EQ(sink.Collected(), SearchStats{});

@@ -10,7 +10,7 @@
 //   sss_cli join --data data.txt --k 1 --out pairs.txt
 //   sss_cli stats --data data.txt
 //
-// Engines: scan | trie | ctrie | qgram | partition | packed | bktree | auto
+// Engines: scan | trie | ctrie | partition | auto
 //          | approx[:tables=N,bits=M]
 // Strategies: serial | tpq | pool | adaptive
 #include <cstdio>

@@ -1,7 +1,7 @@
 // sss_server — TCP front-end for the search engines (see src/server/).
 //
 //   sss_cli generate --workload city --count 40000 --out data.txt
-//   sss_server --data data.txt --engine scan,qgram --port 7070
+//   sss_server --data data.txt --engine scan,partition --port 7070
 //              --max-inflight 64 --deadline-ms 500    (one command line)
 //
 // Prints "listening on HOST:PORT" once ready (scripts wait for that line),
