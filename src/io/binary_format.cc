@@ -74,7 +74,7 @@ class ChecksummingReader {
 
   template <typename T>
   Result<T> ReadScalar() {
-    T value;
+    T value{};
     SSS_RETURN_NOT_OK(Read(&value, sizeof(T)));
     return value;
   }

@@ -367,7 +367,7 @@ void Server::DispatchRequest(Conn* c, Request request,
       std::lock_guard<std::mutex> lock(admin_mu_);
       Task task;
       task.conn_id = c->id;
-      task.request = std::move(request);
+      task.window.push_back(std::move(request));
       admin_tasks_.push_back(std::move(task));
     }
     admin_cv_.notify_one();
@@ -411,52 +411,44 @@ void Server::DispatchRequest(Conn* c, Request request,
 
 void Server::DispatchWindow(Conn* c, std::vector<Request> window) {
   if (window.empty()) return;
-  const bool batched = !handler_ && options_.batch_min_window > 1 &&
-                       window.size() >= options_.batch_min_window;
-  if (!batched) {
-    // Per-request dispatch: handler servers (their backend fans out per
-    // request), batching disabled, or a window too shallow to amortize.
-    const size_t pushed = window.size();
-    {
-      std::lock_guard<std::mutex> lock(task_mu_);
-      for (Request& request : window) {
-        Task task;
-        task.conn_id = c->id;
-        if (request.deadline_ms > 0) {
-          task.deadline = Deadline::AfterMillis(request.deadline_ms);
-        }
-        task.request = std::move(request);
-        tasks_.push_back(std::move(task));
+  // Engine servers run the whole drain as one window. Handler servers run
+  // one window per request: their backend fans out per request, and a
+  // shared task would queue those fan-outs behind one worker.
+  std::vector<Task> tasks;
+  if (handler_) {
+    for (Request& request : window) {
+      tasks.emplace_back();
+      tasks.back().window.push_back(std::move(request));
+    }
+  } else {
+    tasks.emplace_back();
+    tasks.back().window = std::move(window);
+  }
+  for (Task& task : tasks) {
+    task.conn_id = c->id;
+    // One task, one SearchContext. Deadlines fold to the window's
+    // tightest — a request without a deadline shares its window's budget,
+    // the price of one corpus pass over the whole window.
+    uint32_t min_deadline_ms = 0;
+    for (const Request& request : task.window) {
+      if (request.deadline_ms == 0) continue;
+      if (min_deadline_ms == 0 || request.deadline_ms < min_deadline_ms) {
+        min_deadline_ms = request.deadline_ms;
       }
     }
-    if (pushed == 1) {
-      task_cv_.notify_one();
-    } else {
-      task_cv_.notify_all();
+    if (min_deadline_ms > 0) {
+      task.deadline = Deadline::AfterMillis(min_deadline_ms);
     }
-    return;
-  }
-  // Window batch: one task, one SearchContext. Deadlines fold to the
-  // window's tightest — a request without a deadline shares its window's
-  // budget, the price of one corpus pass over the whole window.
-  uint32_t min_deadline_ms = 0;
-  for (const Request& request : window) {
-    if (request.deadline_ms == 0) continue;
-    if (min_deadline_ms == 0 || request.deadline_ms < min_deadline_ms) {
-      min_deadline_ms = request.deadline_ms;
-    }
-  }
-  Task task;
-  task.conn_id = c->id;
-  task.window = std::move(window);
-  if (min_deadline_ms > 0) {
-    task.deadline = Deadline::AfterMillis(min_deadline_ms);
   }
   {
     std::lock_guard<std::mutex> lock(task_mu_);
-    tasks_.push_back(std::move(task));
+    for (Task& task : tasks) tasks_.push_back(std::move(task));
   }
-  task_cv_.notify_one();
+  if (tasks.size() == 1) {
+    task_cv_.notify_one();
+  } else {
+    task_cv_.notify_all();
+  }
 }
 
 void Server::QueueResponse(Conn* c, const Response& response,
@@ -627,22 +619,22 @@ void Server::WorkerLoop() {
       task = std::move(tasks_.front());
       tasks_.pop_front();
     }
-    if (!task.window.empty()) {
-      if (batch_executor == nullptr) {
-        ShardedExecutorOptions pool_options;
-        pool_options.num_threads = 1;
-        batch_executor = std::make_unique<ShardedExecutor>(pool_options);
+    if (handler_) {
+      // Admission was claimed on the reactor at dispatch; sheds never get
+      // here.
+      for (const Request& request : task.window) {
+        Response response = handler_(request);
+        inflight_.fetch_sub(1, std::memory_order_acq_rel);
+        FinishRequest(task.conn_id, request, std::move(response));
       }
-      RunWindowBatch(task, batch_executor.get());
       continue;
     }
-    SearchStats delta;
-    delta.server_bytes_in =
-        kRequestHeaderBytes +
-        static_cast<uint64_t>(task.request.query.size());
-    const Response response =
-        handler_ ? RunHandler(task, &delta) : RunSearch(task, &delta);
-    FinishTask(task.conn_id, response, &delta);
+    if (batch_executor == nullptr) {
+      ShardedExecutorOptions pool_options;
+      pool_options.num_threads = 1;
+      batch_executor = std::make_unique<ShardedExecutor>(pool_options);
+    }
+    RunWindowBatch(task, batch_executor.get());
   }
 }
 
@@ -657,25 +649,11 @@ void Server::AdminLoop() {
       task = std::move(admin_tasks_.front());
       admin_tasks_.pop_front();
     }
-    const Request& request = task.request;
+    const Request& request = task.window.front();
     if (handler_) {
       // Admin frames are forwarded to the handler verbatim, without an
       // admission slot, exactly like the built-in path.
-      SearchStats delta;
-      delta.server_bytes_in =
-          kRequestHeaderBytes + static_cast<uint64_t>(request.query.size());
-      Response response = handler_(request);
-      response.request_id = request.request_id;
-      if (response.code == StatusCode::kOk) {
-        counters_.requests_ok.fetch_add(1, std::memory_order_relaxed);
-        delta.server_requests_accepted = 1;
-      } else if (response.code == StatusCode::kCancelled) {
-        counters_.requests_cancelled.fetch_add(1, std::memory_order_relaxed);
-        delta.server_requests_cancelled = 1;
-      } else {
-        counters_.requests_rejected.fetch_add(1, std::memory_order_relaxed);
-      }
-      FinishTask(task.conn_id, response, &delta);
+      FinishRequest(task.conn_id, request, handler_(request));
     } else {
       FinishTask(task.conn_id, HandleAdmin(request), nullptr);
     }
@@ -722,127 +700,25 @@ Response Server::HandleAdmin(const Request& request) {
   return response;
 }
 
-Response Server::RunHandler(const Task& task, SearchStats* delta) {
-  // Admission was claimed on the reactor at dispatch; sheds never get here.
-  Response response = handler_(task.request);
-  inflight_.fetch_sub(1, std::memory_order_acq_rel);
-  response.request_id = task.request.request_id;
-  if (response.code == StatusCode::kOk) {
-    counters_.requests_ok.fetch_add(1, std::memory_order_relaxed);
-    delta->server_requests_accepted = 1;
-  } else if (response.code == StatusCode::kCancelled) {
-    counters_.requests_cancelled.fetch_add(1, std::memory_order_relaxed);
-    delta->server_requests_cancelled = 1;
-  } else {
-    counters_.requests_rejected.fetch_add(1, std::memory_order_relaxed);
-  }
-  return response;
-}
-
-Response Server::RunSearch(const Task& task, SearchStats* delta) {
-  const Request& request = task.request;
-  Response response;
-  response.request_id = request.request_id;
-
-  // Pin the host's current generation for the whole request: `pinned` keeps
-  // the snapshot and every engine built over it alive even if a reload
-  // publishes a successor mid-search. Static engines (no host) have no
-  // generation to pin.
-  EngineSetHandle pinned;
-  const Searcher* engine = nullptr;
-  if (host_ != nullptr) {
-    pinned = host_->Acquire();
-    if (pinned == nullptr) {
-      inflight_.fetch_sub(1, std::memory_order_acq_rel);
-      counters_.requests_rejected.fetch_add(1, std::memory_order_relaxed);
-      response.code = StatusCode::kUnavailable;
-      response.message = "no engine generation published yet";
-      return response;
-    }
-    response.generation = pinned->generation;
-    engine = request.engine == kAnyEngine ? pinned->default_engine
-                                          : pinned->Find(request.engine);
-  } else {
-    engine = request.engine == kAnyEngine ? default_engine_
-                                          : engines_[request.engine];
-  }
-  if (engine == nullptr) {
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    counters_.requests_rejected.fetch_add(1, std::memory_order_relaxed);
-    response.code = StatusCode::kInvalid;
-    response.message =
-        "no engine registered under id " + std::to_string(request.engine);
-    return response;
-  }
-  if (pinned == nullptr) {
-    // Static engines still serve a versioned collection; report it so
-    // clients can tell generations apart however the engines were wired.
-    const SnapshotHandle snapshot = engine->SearchedSnapshot();
-    if (snapshot != nullptr) response.generation = snapshot->version();
-  }
-
-  SearchContext ctx;
-  ctx.cancellation = &cancel_;
-  ctx.stats = options_.stats;
-  ctx.deadline = task.deadline;
-
-  Query query;
-  query.text = request.query;
-  query.max_distance = static_cast<int>(request.k);
-
-  MatchList matches;
-  const Status st = engine->Search(query, ctx, &matches);
-  inflight_.fetch_sub(1, std::memory_order_acq_rel);
-
-  if (st.ok()) {
-    counters_.requests_ok.fetch_add(1, std::memory_order_relaxed);
-    delta->server_requests_accepted = 1;
-    response.matches = std::move(matches);
-  } else {
-    response.code = st.code();
-    response.message = st.message();
-    if (st.IsCancelled()) {
-      counters_.requests_cancelled.fetch_add(1, std::memory_order_relaxed);
-      delta->server_requests_cancelled = 1;
-    } else {
-      counters_.requests_rejected.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  return response;
-}
-
 void Server::RunWindowBatch(const Task& task, ShardedExecutor* executor) {
   const std::vector<Request>& window = task.window;
   const size_t n = window.size();
 
   // Window-level funnel: depth_sum / windows_batched is the mean batch the
-  // engine saw. Recorded once per window, before per-request deltas.
-  if (options_.stats != nullptr) {
+  // engine saw over pipelined windows. Recorded once per window of two or
+  // more, before per-request deltas; a lone request counts in neither.
+  if (options_.stats != nullptr && n >= 2) {
     SearchStats window_delta;
     window_delta.server_windows_batched = 1;
     window_delta.server_window_depth_sum = n;
     options_.stats->Record(window_delta);
   }
 
-  // Releases one request's admission slot and posts its completion, with
-  // the same counter classification as the single-request path.
+  // Releases one request's admission slot and posts its completion.
   const auto finish = [this, conn_id = task.conn_id](const Request& request,
                                                      Response response) {
-    response.request_id = request.request_id;
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    SearchStats delta;
-    delta.server_bytes_in =
-        kRequestHeaderBytes + static_cast<uint64_t>(request.query.size());
-    if (response.code == StatusCode::kOk) {
-      counters_.requests_ok.fetch_add(1, std::memory_order_relaxed);
-      delta.server_requests_accepted = 1;
-    } else if (response.code == StatusCode::kCancelled) {
-      counters_.requests_cancelled.fetch_add(1, std::memory_order_relaxed);
-      delta.server_requests_cancelled = 1;
-    } else {
-      counters_.requests_rejected.fetch_add(1, std::memory_order_relaxed);
-    }
-    FinishTask(conn_id, response, &delta);
+    FinishRequest(conn_id, request, std::move(response));
   };
 
   // One generation pin for the whole window: a window racing a reload
@@ -926,7 +802,9 @@ void Server::RunWindowBatch(const Task& task, ShardedExecutor* executor) {
     ctx.cancellation = &cancel_;
     ctx.stats = options_.stats;
     ctx.deadline = task.deadline;
-    ctx.kernel_tier = options_.batch_kernel_tier;
+    // The lane verify tier serves every window, a lone request included;
+    // it is byte-identical to scalar by the kernel-equivalence contract.
+    ctx.kernel_tier = KernelTierChoice::kAuto;
 
     ExecutionOptions exec = BatchDispatchOptions(
         queries.size(), options_.batch_parallel_threshold,
@@ -951,6 +829,24 @@ void Server::RunWindowBatch(const Task& task, ShardedExecutor* executor) {
       finish(window[i], std::move(response));
     }
   }
+}
+
+void Server::FinishRequest(uint64_t conn_id, const Request& request,
+                           Response response) {
+  response.request_id = request.request_id;
+  SearchStats delta;
+  delta.server_bytes_in =
+      kRequestHeaderBytes + static_cast<uint64_t>(request.query.size());
+  if (response.code == StatusCode::kOk) {
+    counters_.requests_ok.fetch_add(1, std::memory_order_relaxed);
+    delta.server_requests_accepted = 1;
+  } else if (response.code == StatusCode::kCancelled) {
+    counters_.requests_cancelled.fetch_add(1, std::memory_order_relaxed);
+    delta.server_requests_cancelled = 1;
+  } else {
+    counters_.requests_rejected.fetch_add(1, std::memory_order_relaxed);
+  }
+  FinishTask(conn_id, response, &delta);
 }
 
 void Server::FinishTask(uint64_t conn_id, const Response& response,

@@ -15,24 +15,26 @@
 //     completion order — possibly out of request order — and clients match
 //     them by the echoed request id. Per-connection responses are never
 //     interleaved mid-frame; each response frame is contiguous on the wire.
-//   * Window batching: the search frames decoded from one connection in
-//     one drain form a window. A window of `batch_min_window` or more
-//     admitted requests dispatches as a single Searcher::SearchBatch —
-//     one corpus pass amortized over the window instead of N independent
-//     passes — under one SearchContext whose deadline is the tightest
-//     per-request deadline and whose strategy is picked by window size
+//   * One search path: the admitted search frames decoded from one
+//     connection in one drain form a window, and every window — a lone
+//     lock-step request is a window of one — runs as a single
+//     Searcher::SearchBatch: one corpus pass amortized over the window,
+//     under one SearchContext whose deadline is the tightest per-request
+//     deadline, whose kernel tier is kAuto (the lane verify tier, byte-
+//     identical to scalar), and whose strategy is picked by window size
 //     (serial below batch_parallel_threshold, batch_strategy at/above it,
 //     one execution lane per query by default so blocked searches never
-//     serialize the window). Windows pin one engine generation, so a
+//     serialize the window). So a query's kernel never depends on how the
+//     TCP stream was split. Windows pin one engine generation, so a
 //     window racing a reload answers wholly from one side of the swap.
 //     Per-request statuses come back from the BatchResult and map to
 //     per-id response frames; admission, byte accounting, and counters
 //     stay per-request. Each search worker owns one persistent
 //     ShardedExecutor injected into the dispatch, so a stream of windows
 //     re-uses parked lane threads instead of spawning a pool per window.
-//     Handler servers (sss_router) keep per-request dispatch: their
-//     backend fans out per request and batching would serialize fan-outs
-//     behind one worker.
+//     Handler servers (sss_router) run one window per request: their
+//     backend fans out per request and a shared window would serialize
+//     fan-outs behind one worker.
 //   * Bounded admission: at most `max_inflight` searches execute at once.
 //     The slot is claimed on the reactor at dispatch time
 //     (fetch_add-then-check), so a request arriving above the watermark is
@@ -108,13 +110,11 @@ struct ServerOptions {
   /// Reclaim a connection whose partial frame has been pending this long
   /// (0 = never). Connections idle between frames are exempt.
   uint32_t idle_timeout_ms = 30000;
-  /// Window batching: when one reactor drain decodes at least this many
-  /// admitted search frames from a connection, they dispatch as one
-  /// Searcher::SearchBatch instead of independent per-request tasks
-  /// (0 or 1 = per-request dispatch always). Ignored on handler servers.
-  size_t batch_min_window = 2;
-  /// Windows at or above this size run `batch_strategy`; smaller windows
-  /// run serially on the claiming worker (see BatchDispatchOptions).
+  /// The admitted search frames one reactor drain decodes from a
+  /// connection run as one Searcher::SearchBatch window (see the header
+  /// comment). Windows at or above this size run `batch_strategy`; smaller
+  /// windows, a lone request included, run serially on the claiming worker
+  /// (see BatchDispatchOptions). Ignored on handler servers.
   size_t batch_parallel_threshold = 2;
   /// Execution strategy for parallel windows. kSharded routes the window
   /// through BatchPlanner grouping and the lane-capable verify tier.
@@ -123,10 +123,6 @@ struct ServerOptions {
   /// window, which keeps the pipelining contract for blocking engines:
   /// every request in a window makes progress concurrently.
   size_t batch_threads = 0;
-  /// Kernel tier for batched windows. kAuto lets the many-vs-many SIMD
-  /// verify tier serve the network path (byte-identical to scalar by the
-  /// kernel-equivalence contract); single-request dispatch stays scalar.
-  KernelTierChoice batch_kernel_tier = KernelTierChoice::kAuto;
   ProtocolLimits limits;
   /// Optional sink: engine SearchStats flow through each request's
   /// SearchContext, server_* counters are recorded per request. Borrowed;
@@ -256,16 +252,14 @@ class Server {
     Clock::time_point partial_since;  // when the partial frame started
   };
 
-  /// One decoded request — or one pipelined window of them — on its way to
-  /// a worker. `window` non-empty marks a window-batch task: `request` is
-  /// unused and `deadline` is the fold (min) of the window's per-request
-  /// deadlines.
+  /// One window of decoded requests on its way to a worker: the admitted
+  /// search frames of one drain on an engine server, a single frame on a
+  /// handler server or the admin thread.
   struct Task {
     uint64_t conn_id = 0;
-    Request request;
-    std::vector<Request> window;  // batched search frames (deadlines
-                                  // pre-clamped into each request)
-    Deadline deadline;  // armed at dispatch: queue wait counts
+    std::vector<Request> window;  // deadlines pre-clamped into each request
+    Deadline deadline;  // fold (min) of the window's deadlines, armed at
+                        // dispatch: queue wait counts
   };
 
   /// One finished response on its way back to the reactor.
@@ -292,9 +286,8 @@ class Server {
   /// appended to `window` (deadline already clamped) for DispatchWindow.
   void DispatchRequest(Conn* c, Request request,
                        std::vector<Request>* window);
-  /// Queues the drain's admitted search requests: one SearchBatch task for
-  /// a window of batch_min_window or more (engine servers only), else one
-  /// task per request (reactor thread).
+  /// Queues the drain's admitted search requests as one window task, or
+  /// one task per request on handler servers (reactor thread).
   void DispatchWindow(Conn* c, std::vector<Request> window);
   /// Encodes and queues a reactor-originated response (shed / protocol
   /// error), recording `delta` with the true frame size when given.
@@ -312,17 +305,17 @@ class Server {
   // --- worker threads ---
   void WorkerLoop();
   void AdminLoop();
-  /// Engine-table / host search for one request; admission slot already
-  /// claimed. Fills `delta` (except bytes_out) and the counters.
-  Response RunSearch(const Task& task, SearchStats* delta);
-  /// Same front-end duties, backend delegated to the registered handler.
-  Response RunHandler(const Task& task, SearchStats* delta);
-  /// One pipelined window as a single SearchBatch: one generation pin,
+  /// One window as a single SearchBatch: one generation pin,
   /// engine-grouped QuerySets, strategy by window size, per-request
   /// statuses mapped back to per-id completions. `executor` is the calling
   /// worker's persistent batch pool (never null), injected into kSharded
   /// dispatch so a stream of windows spawns threads once, not per window.
   void RunWindowBatch(const Task& task, ShardedExecutor* executor);
+  /// Echoes the request id into `response`, classifies it into the
+  /// ok / cancelled / rejected counters and posts it. Any admission slot
+  /// is already released.
+  void FinishRequest(uint64_t conn_id, const Request& request,
+                     Response response);
   /// kAdmin dispatch: reload / get-generation. No admission slot — admin
   /// ops must succeed exactly when the server sheds search load.
   Response HandleAdmin(const Request& request);

@@ -129,11 +129,12 @@ struct KernelCounters {
 ///   * serving layer — server_requests_* and server_bytes_* reported per
 ///     request by sss::server::Server (and mirrored client-side by
 ///     sss_loadgen, which observes the same events from the other end of
-///     the connection); server_windows_batched counts pipelined windows the
-///     reactor dispatched as one SearchBatch and server_window_depth_sum
-///     sums their depths, so depth_sum / windows_batched is the mean batch
+///     the connection); every admitted request runs in a window through
+///     one SearchBatch, and server_windows_batched counts the windows of
+///     two or more requests while server_window_depth_sum sums their
+///     depths, so depth_sum / windows_batched is the mean pipelined batch
 ///     the engine actually saw (depth_sum ≥ 2 × windows_batched always:
-///     singleton windows take the per-request path and count in neither);
+///     a lone request runs the same batch path but counts in neither);
 ///   * lifecycle — host_reloads_* and host_reload_build_micros reported by
 ///     EngineHost once per Load/Reload attempt (build_micros is the wall
 ///     time spent constructing the engine set that was, or failed to be,

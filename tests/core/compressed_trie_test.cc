@@ -89,6 +89,9 @@ struct RadixSweep {
   std::vector<int> ks;
 };
 
+// Printed by label, so the ctest names stay the same from build to build.
+void PrintTo(const RadixSweep& cfg, std::ostream* os) { *os << cfg.label; }
+
 class CompressedTrieEquivalenceTest
     : public ::testing::TestWithParam<RadixSweep> {};
 

@@ -92,6 +92,9 @@ struct SweepConfig {
   int trials;
 };
 
+// Printed by label, so the ctest names stay the same from build to build.
+void PrintTo(const SweepConfig& cfg, std::ostream* os) { *os << cfg.label; }
+
 class KernelEquivalenceTest : public ::testing::TestWithParam<SweepConfig> {};
 
 TEST_P(KernelEquivalenceTest, AllKernelsAgreeWithReference) {
@@ -180,7 +183,9 @@ TEST(EditDistancePropertyTest, IdentityOfIndiscernibles) {
     const std::string x = RandomString(&rng, "abcd", 0, 25);
     EXPECT_EQ(EditDistanceTwoRow(x, x), 0);
     const std::string y = RandomString(&rng, "abcd", 0, 25);
-    if (x != y) EXPECT_GT(EditDistanceTwoRow(x, y), 0);
+    if (x != y) {
+      EXPECT_GT(EditDistanceTwoRow(x, y), 0);
+    }
   }
 }
 

@@ -64,7 +64,7 @@ TEST(FrequencyVectorFilterTest, DistantStringsArePruned) {
 
 // Soundness property: the filter never prunes a true match.
 class FrequencyFilterSoundnessTest
-    : public ::testing::TestWithParam<std::pair<const char*, AlphabetKind>> {
+    : public ::testing::TestWithParam<std::pair<std::string, AlphabetKind>> {
 };
 
 TEST_P(FrequencyFilterSoundnessTest, NeverPrunesTrueMatch) {
@@ -92,8 +92,8 @@ TEST_P(FrequencyFilterSoundnessTest, NeverPrunesTrueMatch) {
 INSTANTIATE_TEST_SUITE_P(
     Alphabets, FrequencyFilterSoundnessTest,
     ::testing::Values(
-        std::make_pair("ACGNT", AlphabetKind::kDna),
-        std::make_pair("aeioubcdfg XY", AlphabetKind::kGeneric)),
+        std::make_pair(std::string("ACGNT"), AlphabetKind::kDna),
+        std::make_pair(std::string("aeioubcdfg XY"), AlphabetKind::kGeneric)),
     [](const auto& info) {
       return info.param.second == AlphabetKind::kDna ? "dna" : "generic";
     });

@@ -117,6 +117,9 @@ struct HammingSweep {
   std::vector<int> ks;
 };
 
+// Printed by label, so the ctest names stay the same from build to build.
+void PrintTo(const HammingSweep& cfg, std::ostream* os) { *os << cfg.label; }
+
 class HammingEquivalenceTest
     : public ::testing::TestWithParam<HammingSweep> {};
 

@@ -66,7 +66,9 @@ TEST(SimpleTypesKernelTest, AgreesWithDiagonalAbortKernel) {
       const int a = internal::EditDistanceDiagonalAbort(x, y, k);
       const int b = internal::EditDistanceSimpleTypes(x, y, k, &ws);
       ASSERT_EQ(a <= k, b <= k) << "x='" << x << "' y='" << y << "' k=" << k;
-      if (a <= k) ASSERT_EQ(a, b);
+      if (a <= k) {
+        ASSERT_EQ(a, b);
+      }
     }
   }
 }
@@ -80,7 +82,7 @@ TEST(LadderTest, ToStringLabelsMatchPaperRows) {
 // The paper's correctness gate: every ladder step must return exactly the
 // step-1 (reference) results.
 class LadderEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(LadderEquivalenceTest, AllStepsReturnReferenceResults) {
   const auto [alphabet, max_k] = GetParam();
@@ -103,9 +105,9 @@ TEST_P(LadderEquivalenceTest, AllStepsReturnReferenceResults) {
 
 INSTANTIATE_TEST_SUITE_P(
     Workloads, LadderEquivalenceTest,
-    ::testing::Values(std::make_tuple("abcdefgh", 3),
-                      std::make_tuple("ACGNT", 8),
-                      std::make_tuple("ab", 4)));
+    ::testing::Values(std::make_tuple(std::string("abcdefgh"), 3),
+                      std::make_tuple(std::string("ACGNT"), 8),
+                      std::make_tuple(std::string("ab"), 4)));
 
 TEST(LadderTest, MatchesArriveInAscendingIdOrder) {
   Dataset d("x", AlphabetKind::kGeneric);

@@ -80,6 +80,11 @@ struct PartitionSweep {
   std::vector<int> ks;
 };
 
+// Printed by label, so the ctest names stay the same from build to build.
+void PrintTo(const PartitionSweep& cfg, std::ostream* os) {
+  *os << cfg.label;
+}
+
 class PartitionIndexEquivalenceTest
     : public ::testing::TestWithParam<PartitionSweep> {};
 

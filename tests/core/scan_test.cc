@@ -63,6 +63,9 @@ struct ScanConfig {
   int qgram_q;
 };
 
+// Printed by label, so the ctest names stay the same from build to build.
+void PrintTo(const ScanConfig& cfg, std::ostream* os) { *os << cfg.label; }
+
 class ScanConfigTest : public ::testing::TestWithParam<ScanConfig> {};
 
 TEST_P(ScanConfigTest, OptionsNeverChangeResults) {

@@ -44,7 +44,7 @@ TEST(SearcherFactoryTest, ToStringNames) {
 // The paper's central correctness requirement: both competitors (and the
 // compressed variant) return identical results on identical batches.
 class EngineAgreementTest
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
 
 TEST_P(EngineAgreementTest, AllEnginesReturnIdenticalBatches) {
   const auto [alphabet, max_k] = GetParam();
@@ -77,8 +77,8 @@ TEST_P(EngineAgreementTest, AllEnginesReturnIdenticalBatches) {
 
 INSTANTIATE_TEST_SUITE_P(
     Workloads, EngineAgreementTest,
-    ::testing::Values(std::make_tuple("abcdefgh -", 3),
-                      std::make_tuple("ACGNT", 8)));
+    ::testing::Values(std::make_tuple(std::string("abcdefgh -"), 3),
+                      std::make_tuple(std::string("ACGNT"), 8)));
 
 TEST(SearcherBatchTest, AllStrategiesProduceSameResults) {
   Xoshiro256 rng(0xA6EF);

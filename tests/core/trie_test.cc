@@ -101,6 +101,9 @@ struct TrieSweep {
   std::vector<int> ks;
 };
 
+// Printed by label, so the ctest names stay the same from build to build.
+void PrintTo(const TrieSweep& cfg, std::ostream* os) { *os << cfg.label; }
+
 class TrieEquivalenceTest : public ::testing::TestWithParam<TrieSweep> {};
 
 TEST_P(TrieEquivalenceTest, MatchesBruteForce) {

@@ -280,6 +280,36 @@ TEST_F(WindowBatchTest, SingletonRequestsCountInNeitherWindowCounter) {
   EXPECT_EQ(collected.server_window_depth_sum, 0u);
 }
 
+// --------------------------------------------------------------------------
+// One search path: a lone lock-step request runs through the same
+// SearchBatch window as a pipelined one, under the same kAuto kernel tier —
+// the batch driver labels its tier, and every verified candidate is counted
+// either by a lane kernel or as a lane fallback.
+// --------------------------------------------------------------------------
+TEST_F(WindowBatchTest, LoneRequestsRunTheWindowKernelTier) {
+  const KernelTier tier = ResolveKernelTier(KernelTierChoice::kAuto);
+  StatsSink sink;
+  ServerOptions options;
+  options.stats = &sink;
+  auto server = StartServer(options);
+  auto client = Client::Connect("127.0.0.1", server->port());
+  ASSERT_TRUE(client.ok());
+  for (const char* query : {"abc", "hello", "zzzzzzzz"}) {
+    sink.Reset();
+    Response response;
+    ASSERT_TRUE(client->Search(query, 1, 0, &response).ok());
+    EXPECT_EQ(response.code, StatusCode::kOk);
+    const SearchStats collected = sink.Collected();
+    EXPECT_EQ(collected.dispatch_tier, static_cast<uint64_t>(tier)) << query;
+    EXPECT_GT(collected.verify_calls, 0u) << query;
+    if (tier != KernelTier::kScalar) {
+      EXPECT_EQ(collected.simd_lanes_verified + collected.simd_fallback_pairs,
+                collected.verify_calls)
+          << query;
+    }
+  }
+}
+
 TEST_F(WindowBatchTest, WindowFunnelInvariantsHoldUnderPipelinedLoad) {
   constexpr size_t kConnections = 8;
   constexpr size_t kDepth = 8;

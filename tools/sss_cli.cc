@@ -3,12 +3,13 @@
 // tool reports only the result-computation time (I/O excluded), and
 // results are written in the competition layout.
 //
-//   sss_cli generate --workload city --count 40000 --seed 7 \
+//   sss_cli generate --workload city --count 40000 --seed 7
 //           --out data.txt --queries 100 --queries-out q.txt
-//   sss_cli search --data data.txt --queries q.txt --engine scan \
+//   sss_cli search --data data.txt --queries q.txt --engine scan
 //           --strategy pool --threads 8 --out results.txt
 //   sss_cli join --data data.txt --k 1 --out pairs.txt
 //   sss_cli stats --data data.txt
+//   (four commands; the first two each wrap onto a second line)
 //
 // Engines: scan | trie | ctrie | partition | auto
 //          | approx[:tables=N,bits=M]
@@ -285,7 +286,8 @@ int RunSearch(const FlagSet& flags) {
     LatencyHistogram histogram;
     for (const Query& q : *queries) {
       Stopwatch t;
-      benchmark_results_sink_ += (*searcher)->Search(q).size();
+      benchmark_results_sink_ =
+          benchmark_results_sink_ + (*searcher)->Search(q).size();
       histogram.Record(static_cast<uint64_t>(t.ElapsedNanos()));
     }
     std::printf("per-query latency: %s\n",

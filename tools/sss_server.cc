@@ -72,13 +72,12 @@ int Usage() {
       "                     0 disables (default 30000)\n"
       "  --deadline-ms MS   server-side cap on request deadlines; requests\n"
       "                     without one get the cap (default 0 = uncapped)\n"
-      "  --batch-min-window N\n"
-      "                     pipelined windows of >= N search frames decoded\n"
-      "                     in one drain dispatch as a single SearchBatch;\n"
-      "                     0 or 1 restores per-request dispatch (default 2)\n"
       "  --batch-threshold N\n"
-      "                     windows of >= N queries run the parallel batch\n"
-      "                     strategy, smaller ones run serial (default 2)\n"
+      "                     the search frames decoded from a connection in\n"
+      "                     one drain run as one SearchBatch window (a lone\n"
+      "                     request is a window of one); windows of >= N\n"
+      "                     queries run the parallel batch strategy, smaller\n"
+      "                     ones run serial (default 2)\n"
       "  --batch-threads N  worker lanes per parallel window; 0 = one per\n"
       "                     query in the window (default 0)\n"
       "  --backlog N        listen backlog (default 128)\n"
@@ -89,6 +88,16 @@ int Usage() {
       "            5 could not bind/listen\n",
       sss::KnownEngineSpecsHelp().c_str());
   return kExitUsage;
+}
+
+// A flag no option reads is a typo or a removed option: refuse to start
+// rather than silently serve without it.
+bool RejectUnreadFlags(const FlagSet& flags) {
+  const std::vector<std::string> unread = flags.UnreadFlags();
+  for (const std::string& name : unread) {
+    std::fprintf(stderr, "sss_server: unknown flag --%s\n", name.c_str());
+  }
+  return unread.empty();
 }
 
 int Fail(const Status& status) {
@@ -239,13 +248,6 @@ int Run(const FlagSet& flags) {
     return kExitUsage;
   }
   options.idle_timeout_ms = static_cast<uint32_t>(*idle_timeout_ms);
-  Result<int64_t> batch_min_window = flags.GetInt("batch-min-window", 2);
-  if (!batch_min_window.ok()) return Fail(batch_min_window.status());
-  if (*batch_min_window < 0) {
-    std::fprintf(stderr, "sss_server: --batch-min-window must be >= 0\n");
-    return kExitUsage;
-  }
-  options.batch_min_window = static_cast<size_t>(*batch_min_window);
   Result<int64_t> batch_threshold = flags.GetInt("batch-threshold", 2);
   if (!batch_threshold.ok()) return Fail(batch_threshold.status());
   if (*batch_threshold < 0) {
@@ -271,10 +273,13 @@ int Run(const FlagSet& flags) {
   if (!dna.ok()) return Fail(dna.status());
   Result<bool> reload_on_sighup = flags.GetBool("reload-on-sighup", true);
   if (!reload_on_sighup.ok()) return Fail(reload_on_sighup.status());
+  Result<bool> stats_json = flags.GetBool("stats-json", false);
+  if (!stats_json.ok()) return Fail(stats_json.status());
+  const std::string engine_list = flags.GetString("engine", "scan");
+  if (!RejectUnreadFlags(flags)) return kExitUsage;
 
   std::vector<EngineSpec> specs;
-  for (const std::string& name :
-       SplitCommas(flags.GetString("engine", "scan"))) {
+  for (const std::string& name : SplitCommas(engine_list)) {
     auto spec = ParseEngineSpec(name);
     if (!spec.ok()) return Fail(spec.status());
     specs.push_back(*spec);
@@ -338,8 +343,7 @@ int Run(const FlagSet& flags) {
   std::fprintf(stderr, "sss_server: draining\n");
   server.Stop();
 
-  Result<bool> stats_json = flags.GetBool("stats-json", false);
-  if (stats_json.ok() && *stats_json) {
+  if (*stats_json) {
     PrintStatsJson(server, sink, host.generation());
   }
   return kExitOk;
