@@ -23,18 +23,22 @@ namespace sss {
 
 namespace {
 
-/// Everything a lane kernel needs for one group, marshalled once. scores[]
-/// come back as raw final Myers distances (the <=k clamp happens in
-/// VerifyGroup so every tier clamps identically).
+/// Everything a lane kernel needs for one group, marshalled once. A kernel
+/// advances columns until every lane is settled, then reports how many it
+/// ran; scores[] holds the raw distance of every lane whose last column lies
+/// within them (VerifyGroup clamps, so every tier clamps identically).
 struct LaneKernelJob {
-  const uint64_t* peq = nullptr;  // [symbol][blocks]
+  const uint64_t* peq = nullptr;  // [word][symbol]: see LaneVerifier::PeqFor
+  size_t symbols = 0;             // symbols per peq word row
   size_t blocks = 0;
   uint64_t last_mask = 0;
-  int64_t m = 0;  // query length == initial score
+  int64_t m = 0;  // query length
+  int64_t k = 0;
   const LaneGroupView* group = nullptr;
-  uint64_t* pv = nullptr;  // blocks × kLaneWidth scratch (blocks > 1 only)
+  uint64_t* pv = nullptr;  // blocks × kLaneWidth scratch (blocked kernel)
   uint64_t* mv = nullptr;
   int64_t scores[kLaneWidth] = {0, 0, 0, 0};
+  uint32_t columns = 0;  // columns advanced before the group retired
 };
 
 // The per-lane symbol indices of column j under either column layout.
@@ -54,6 +58,96 @@ inline void ColumnSymbols(const LaneGroupView& g, uint32_t j,
     sym[3] = col[3];
   }
 }
+
+// --- Banded kernel (k <= kMaxBandedLaneK).
+//
+// Hyyrö's banded bit-vector: the state after column j is ONE 64-bit word
+// per lane holding the vertical deltas of rows j − k .. j − k + 63, which
+// covers the Ukkonen band of diagonals [−k, k]. Each column the window
+// slides one row down: the old words shift right by one, the row entering
+// at the bottom takes Δv = +1 and the row above the top gives Δh = +1. Both
+// are costs of real alignment paths, so every value the band holds is an
+// achievable cost (>= the true distance), and every cell of an alignment
+// of cost <= k lies inside the band, so those cells are exact. Rows above
+// row 1 are virtual with D[i][j] = j − i, which all-match pattern symbols
+// reproduce (word 0 of every peq row is all ones): row 0 then carries the
+// boundary D[0][j] = j with no special case.
+//
+// Each lane follows its own target diagonal d = m − n (bit d + k): its
+// score is D[j + d][j], which rises by one exactly where Myers' D0 bit
+// ("diagonal unchanged") is clear. At j = n it is the answer. Before that
+// it bounds the answer from below — the paper's main-diagonal abort
+// (conditions 6/7) for a lane of any length: if the lane's distance is
+// <= k, every cell of its target diagonal is <= k and inside the band, so
+// a score above k proves the lane misses. A lane that fails the length
+// filter starts above k with an empty diagonal mask, so its score only
+// climbs.
+
+/// 64 bits of symbol c's padded pattern row starting at bit 64·w + s
+/// (s in [0, 64)); `word` points at word row w.
+inline uint64_t BandWord(const uint64_t* word, size_t symbols, size_t c,
+                         unsigned s) {
+  return (word[c] >> s) | ((word[symbols + c] << 1) << (63 - s));
+}
+
+/// Bit position in a padded peq row of the band's top row at column j.
+inline size_t BandOffset(uint32_t j, int64_t k) {
+  return static_cast<size_t>(64 + static_cast<int64_t>(j) - k);
+}
+
+/// The starting score |m − n| of a lane and its diagonal bit (0 when the
+/// lane fails the length filter).
+inline void BandedLaneStart(int64_t m, uint32_t n, int64_t k, int64_t* score,
+                            uint64_t* diag) {
+  const int64_t d = m - static_cast<int64_t>(n);
+  *score = d < 0 ? -d : d;
+  *diag = *score <= k ? uint64_t{1} << (d + k) : 0;
+}
+
+void RunSwarBanded(LaneKernelJob& job) {
+  const LaneGroupView& g = *job.group;
+  const int64_t k = job.k;
+  uint64_t pv[kLaneWidth], mv[kLaneWidth], diag[kLaneWidth];
+  int64_t score[kLaneWidth];
+  for (uint32_t l = 0; l < kLaneWidth; ++l) {
+    BandedLaneStart(job.m, g.lengths[l], k, &score[l], &diag[l]);
+    job.scores[l] = score[l];
+    pv[l] = ~uint64_t{0} << (k + 1);  // rows >= 1: D[i][0] = i
+    mv[l] = ~pv[l];                   // virtual rows: D[i][0] = −i
+  }
+  size_t sym[kLaneWidth];
+  uint32_t j = 0;
+  for (;; ++j) {
+    bool open = false;
+    for (uint32_t l = 0; l < kLaneWidth; ++l) {
+      open |= g.lengths[l] > j && score[l] <= k;
+    }
+    if (!open) break;
+    ColumnSymbols(g, j, sym);
+    const size_t p = BandOffset(j, k);
+    const uint64_t* word = job.peq + (p >> 6) * job.symbols;
+    for (uint32_t l = 0; l < kLaneWidth; ++l) {
+      const uint64_t eq = BandWord(word, job.symbols, sym[l], p & 63);
+      const uint64_t pvs = (pv[l] >> 1) | (uint64_t{1} << 63);
+      const uint64_t mvs = mv[l] >> 1;
+      const uint64_t xv = eq | mvs;
+      const uint64_t xh = (((eq & pvs) + pvs) ^ pvs) | eq;
+      if (((xh | mvs) & diag[l]) == 0) ++score[l];
+      const uint64_t ph = ((mvs | ~(xh | pvs)) << 1) | 1;
+      const uint64_t mh = (pvs & xh) << 1;
+      pv[l] = mh | ~(xv | ph);
+      mv[l] = ph & xv;
+      if (g.lengths[l] == j + 1) job.scores[l] = score[l];
+    }
+  }
+  job.columns = j;
+}
+
+// --- Blocked kernel (k > kMaxBandedLaneK): the full-height blocked Myers
+// recurrence, tracking the last row D[m][j]. A lane stays open while it
+// has columns left, passes the length filter and can still finish within
+// k: each remaining column lowers D[m][j] by at most one (the per-pair
+// BoundedMyers abort).
 
 // One block step of the blocked Myers recurrence for a single lane — the
 // by-reference twin of edit_distance.cc's AdvanceBlock, kept line-for-line
@@ -81,65 +175,129 @@ inline int SwarStep(uint64_t& pv, uint64_t& mv, uint64_t eq,
   return hout;
 }
 
-// Portable 4-lane tier: four independent recurrences advanced per column in
-// plain C++ — the compiler keeps the four states in registers (B <= 1) and
-// the shared peq row amortizes the table walk the per-pair kernel repays
-// for every candidate.
-void RunSwar(LaneKernelJob& job) {
+void RunSwarBlocked(LaneKernelJob& job) {
   const LaneGroupView& g = *job.group;
   const size_t kb = job.blocks;
-  int64_t score[kLaneWidth] = {job.m, job.m, job.m, job.m};
-  int64_t final_d[kLaneWidth] = {job.m, job.m, job.m, job.m};
+  const int64_t k = job.k;
+  int64_t score[kLaneWidth];
+  for (uint32_t l = 0; l < kLaneWidth; ++l) score[l] = job.scores[l] = job.m;
+  uint64_t* pv = job.pv;
+  uint64_t* mv = job.mv;
+  std::fill(pv, pv + kb * kLaneWidth, ~uint64_t{0});
+  std::fill(mv, mv + kb * kLaneWidth, uint64_t{0});
   size_t sym[kLaneWidth];
-  if (kb == 1) {
-    uint64_t pv[kLaneWidth] = {~uint64_t{0}, ~uint64_t{0}, ~uint64_t{0},
-                               ~uint64_t{0}};
-    uint64_t mv[kLaneWidth] = {0, 0, 0, 0};
-    for (uint32_t j = 0; j < g.num_cols; ++j) {
-      ColumnSymbols(g, j, sym);
+  uint32_t j = 0;
+  for (;; ++j) {
+    bool open = false;
+    for (uint32_t l = 0; l < kLaneWidth; ++l) {
+      const int64_t n = g.lengths[l];
+      open |= n > j && n - job.m <= k && score[l] - (n - j) <= k;
+    }
+    if (!open) break;
+    ColumnSymbols(g, j, sym);
+    int hin[kLaneWidth] = {1, 1, 1, 1};  // top boundary row: +1 per column
+    for (size_t b = 0; b < kb; ++b) {
+      const uint64_t out_mask =
+          b == kb - 1 ? job.last_mask : (uint64_t{1} << 63);
       for (uint32_t l = 0; l < kLaneWidth; ++l) {
-        score[l] +=
-            SwarStep(pv[l], mv[l], job.peq[sym[l]], job.last_mask, 1);
-        if (g.lengths[l] == j + 1) final_d[l] = score[l];
+        hin[l] = SwarStep(pv[b * kLaneWidth + l], mv[b * kLaneWidth + l],
+                          job.peq[(1 + b) * job.symbols + sym[l]], out_mask,
+                          hin[l]);
       }
     }
-  } else {
-    uint64_t* pv = job.pv;
-    uint64_t* mv = job.mv;
-    std::fill(pv, pv + kb * kLaneWidth, ~uint64_t{0});
-    std::fill(mv, mv + kb * kLaneWidth, uint64_t{0});
-    for (uint32_t j = 0; j < g.num_cols; ++j) {
-      ColumnSymbols(g, j, sym);
-      int hin[kLaneWidth] = {1, 1, 1, 1};  // top boundary row: +1 per column
-      for (size_t b = 0; b < kb; ++b) {
-        const uint64_t out_mask =
-            b == kb - 1 ? job.last_mask : (uint64_t{1} << 63);
-        for (uint32_t l = 0; l < kLaneWidth; ++l) {
-          hin[l] = SwarStep(pv[b * kLaneWidth + l], mv[b * kLaneWidth + l],
-                            job.peq[sym[l] * kb + b], out_mask, hin[l]);
-        }
-      }
-      for (uint32_t l = 0; l < kLaneWidth; ++l) {
-        score[l] += hin[l];
-        if (g.lengths[l] == j + 1) final_d[l] = score[l];
-      }
+    for (uint32_t l = 0; l < kLaneWidth; ++l) {
+      score[l] += hin[l];
+      if (g.lengths[l] == j + 1) job.scores[l] = score[l];
     }
   }
-  for (uint32_t l = 0; l < kLaneWidth; ++l) job.scores[l] = final_d[l];
+  job.columns = j;
 }
 
 #if SSS_HAVE_AVX2_LANE_KERNEL
 
-// Loads the four lanes' peq words for block b into one vector (four scalar
-// loads — cheaper and more portable across microarchitectures than a
-// gather for this access pattern).
+// Loads the four lanes' words from one peq word row into one vector (four
+// scalar loads — cheaper and more portable across microarchitectures than
+// a gather for this access pattern).
 __attribute__((always_inline, target("avx2"))) inline __m256i LoadEq(
-    const uint64_t* peq, const size_t sym[kLaneWidth], size_t blocks,
-    size_t b) {
-  return _mm256_set_epi64x(static_cast<int64_t>(peq[sym[3] * blocks + b]),
-                           static_cast<int64_t>(peq[sym[2] * blocks + b]),
-                           static_cast<int64_t>(peq[sym[1] * blocks + b]),
-                           static_cast<int64_t>(peq[sym[0] * blocks + b]));
+    const uint64_t* word, const size_t sym[kLaneWidth]) {
+  return _mm256_set_epi64x(static_cast<int64_t>(word[sym[3]]),
+                           static_cast<int64_t>(word[sym[2]]),
+                           static_cast<int64_t>(word[sym[1]]),
+                           static_cast<int64_t>(word[sym[0]]));
+}
+
+__attribute__((always_inline, target("avx2"))) inline __m256i LoadLengths(
+    const LaneGroupView& g) {
+  return _mm256_set_epi64x(static_cast<int64_t>(g.lengths[3]),
+                           static_cast<int64_t>(g.lengths[2]),
+                           static_cast<int64_t>(g.lengths[1]),
+                           static_cast<int64_t>(g.lengths[0]));
+}
+
+// RunSwarBanded with the four lanes in one __m256i; retires on the same
+// column, so the two tiers report identical counters.
+__attribute__((target("avx2"))) void RunAvx2Banded(LaneKernelJob& job) {
+  const LaneGroupView& g = *job.group;
+  const int64_t k = job.k;
+  const __m256i all1 = _mm256_set1_epi64x(-1);
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i one = _mm256_set1_epi64x(1);
+  const __m256i bottom = _mm256_set1_epi64x(INT64_MIN);  // bit 63
+  const __m256i kv = _mm256_set1_epi64x(k);
+  const __m256i len = LoadLengths(g);
+  // BandedLaneStart in vector form: score = |d|, diagonal bit d + k.
+  const __m256i d = _mm256_sub_epi64(_mm256_set1_epi64x(job.m), len);
+  const __m256i negative = _mm256_cmpgt_epi64(zero, d);
+  __m256i score =
+      _mm256_sub_epi64(_mm256_xor_si256(d, negative), negative);
+  const __m256i diag = _mm256_andnot_si256(
+      _mm256_cmpgt_epi64(score, kv),
+      _mm256_sllv_epi64(one, _mm256_add_epi64(d, kv)));
+  __m256i final_d = score;
+  __m256i pv =
+      _mm256_set1_epi64x(static_cast<int64_t>(~uint64_t{0} << (k + 1)));
+  __m256i mv = _mm256_xor_si256(pv, all1);
+  __m256i done = zero;  // columns advanced, per lane
+  size_t sym[kLaneWidth];
+  uint32_t j = 0;
+  for (;; ++j) {
+    const __m256i open = _mm256_andnot_si256(_mm256_cmpgt_epi64(score, kv),
+                                             _mm256_cmpgt_epi64(len, done));
+    if (_mm256_testz_si256(open, open)) break;
+    ColumnSymbols(g, j, sym);
+    const size_t p = BandOffset(j, k);
+    const uint64_t* word = job.peq + (p >> 6) * job.symbols;
+    const __m256i eq = _mm256_or_si256(
+        _mm256_srl_epi64(LoadEq(word, sym),
+                         _mm_cvtsi32_si128(static_cast<int>(p & 63))),
+        // A shift count of 64 yields zero: the s = 0 case needs no branch.
+        _mm256_sll_epi64(LoadEq(word + job.symbols, sym),
+                         _mm_cvtsi32_si128(static_cast<int>(64 - (p & 63)))));
+    const __m256i pvs = _mm256_or_si256(_mm256_srli_epi64(pv, 1), bottom);
+    const __m256i mvs = _mm256_srli_epi64(mv, 1);
+    const __m256i xv = _mm256_or_si256(eq, mvs);
+    const __m256i xh = _mm256_or_si256(
+        _mm256_xor_si256(_mm256_add_epi64(_mm256_and_si256(eq, pvs), pvs),
+                         pvs),
+        eq);
+    // cmpeq yields −1 where the diagonal bit of D0 is clear: score −= −1.
+    score = _mm256_sub_epi64(
+        score, _mm256_cmpeq_epi64(
+                   _mm256_and_si256(_mm256_or_si256(xh, mvs), diag), zero));
+    const __m256i ph = _mm256_or_si256(
+        _mm256_slli_epi64(
+            _mm256_or_si256(mvs,
+                            _mm256_xor_si256(_mm256_or_si256(xh, pvs), all1)),
+            1),
+        one);
+    const __m256i mh = _mm256_slli_epi64(_mm256_and_si256(pvs, xh), 1);
+    pv = _mm256_or_si256(mh, _mm256_xor_si256(_mm256_or_si256(xv, ph), all1));
+    mv = _mm256_and_si256(ph, xv);
+    done = _mm256_add_epi64(done, one);
+    final_d = _mm256_blendv_epi8(final_d, score, _mm256_cmpeq_epi64(len, done));
+  }
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(job.scores), final_d);
+  job.columns = j;
 }
 
 // One block step for all four lanes at once: SwarStep with the horizontal
@@ -173,90 +331,62 @@ __attribute__((always_inline, target("avx2"))) inline void Avx2Step(
   hin_n = mh_hit;
 }
 
-// The AVX2 tier: one __m256i carries all four lanes' 64-bit Myers state.
-// Specialized loops keep the state in registers for the common pattern
-// sizes (B=1 covers city names, B=2 covers ~100-char DNA reads); longer
-// queries spill block state through the job scratch.
-__attribute__((target("avx2"))) void RunAvx2(LaneKernelJob& job) {
+// RunSwarBlocked with the four lanes in one __m256i per block; the block
+// state spills through the job scratch.
+__attribute__((target("avx2"))) void RunAvx2Blocked(LaneKernelJob& job) {
   const LaneGroupView& g = *job.group;
   const size_t kb = job.blocks;
   const __m256i all1 = _mm256_set1_epi64x(-1);
   const __m256i zero = _mm256_setzero_si256();
+  const __m256i one = _mm256_set1_epi64x(1);
+  const __m256i kv = _mm256_set1_epi64x(job.k);
   const __m256i last_mask =
       _mm256_set1_epi64x(static_cast<int64_t>(job.last_mask));
-  const __m256i len_vec =
-      _mm256_set_epi64x(static_cast<int64_t>(g.lengths[3]),
-                        static_cast<int64_t>(g.lengths[2]),
-                        static_cast<int64_t>(g.lengths[1]),
-                        static_cast<int64_t>(g.lengths[0]));
+  const __m256i top = _mm256_set1_epi64x(INT64_MIN);  // bit 63
+  const __m256i len = LoadLengths(g);
+  const __m256i too_long =
+      _mm256_cmpgt_epi64(_mm256_sub_epi64(len, _mm256_set1_epi64x(job.m)), kv);
   __m256i score = _mm256_set1_epi64x(job.m);
   __m256i final_d = score;  // ed(query, ε) = m; overwritten at each lane end
-  size_t sym[kLaneWidth];
-
-  if (kb == 1) {
-    __m256i pv = all1, mv = zero;
-    for (uint32_t j = 0; j < g.num_cols; ++j) {
-      ColumnSymbols(g, j, sym);
-      __m256i hp = all1, hn = zero;  // top boundary row: +1 into block 0
-      Avx2Step(pv, mv, LoadEq(job.peq, sym, 1, 0), last_mask, hp, hn);
-      score = _mm256_sub_epi64(score, hp);  // hp lanes are -1 masks: -= -1
-      score = _mm256_add_epi64(score, hn);
-      const __m256i at_end = _mm256_cmpeq_epi64(
-          len_vec, _mm256_set1_epi64x(static_cast<int64_t>(j) + 1));
-      final_d = _mm256_blendv_epi8(final_d, score, at_end);
-    }
-  } else if (kb == 2) {
-    const __m256i top = _mm256_set1_epi64x(
-        static_cast<int64_t>(uint64_t{1} << 63));
-    __m256i pv0 = all1, mv0 = zero, pv1 = all1, mv1 = zero;
-    for (uint32_t j = 0; j < g.num_cols; ++j) {
-      ColumnSymbols(g, j, sym);
-      __m256i hp = all1, hn = zero;
-      Avx2Step(pv0, mv0, LoadEq(job.peq, sym, 2, 0), top, hp, hn);
-      Avx2Step(pv1, mv1, LoadEq(job.peq, sym, 2, 1), last_mask, hp, hn);
-      score = _mm256_sub_epi64(score, hp);
-      score = _mm256_add_epi64(score, hn);
-      const __m256i at_end = _mm256_cmpeq_epi64(
-          len_vec, _mm256_set1_epi64x(static_cast<int64_t>(j) + 1));
-      final_d = _mm256_blendv_epi8(final_d, score, at_end);
-    }
-  } else {
-    const __m256i top = _mm256_set1_epi64x(
-        static_cast<int64_t>(uint64_t{1} << 63));
-    uint64_t* pv = job.pv;
-    uint64_t* mv = job.mv;
-    for (size_t b = 0; b < kb; ++b) {
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(pv + b * kLaneWidth), all1);
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(mv + b * kLaneWidth), zero);
-    }
-    for (uint32_t j = 0; j < g.num_cols; ++j) {
-      ColumnSymbols(g, j, sym);
-      __m256i hp = all1, hn = zero;
-      for (size_t b = 0; b < kb; ++b) {
-        __m256i pvb = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(pv + b * kLaneWidth));
-        __m256i mvb = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(mv + b * kLaneWidth));
-        Avx2Step(pvb, mvb, LoadEq(job.peq, sym, kb, b),
-                 b == kb - 1 ? last_mask : top, hp, hn);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(pv + b * kLaneWidth),
-                            pvb);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(mv + b * kLaneWidth),
-                            mvb);
-      }
-      score = _mm256_sub_epi64(score, hp);
-      score = _mm256_add_epi64(score, hn);
-      const __m256i at_end = _mm256_cmpeq_epi64(
-          len_vec, _mm256_set1_epi64x(static_cast<int64_t>(j) + 1));
-      final_d = _mm256_blendv_epi8(final_d, score, at_end);
-    }
+  uint64_t* pv = job.pv;
+  uint64_t* mv = job.mv;
+  for (size_t b = 0; b < kb; ++b) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(pv + b * kLaneWidth), all1);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(mv + b * kLaneWidth), zero);
   }
-
-  alignas(32) int64_t fin[kLaneWidth];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(fin), final_d);
-  for (uint32_t l = 0; l < kLaneWidth; ++l) job.scores[l] = fin[l];
+  __m256i done = zero;  // columns advanced, per lane
+  size_t sym[kLaneWidth];
+  uint32_t j = 0;
+  for (;; ++j) {
+    // Open: columns left, length filter passed, score − (n − j) <= k.
+    const __m256i hopeless = _mm256_or_si256(
+        too_long, _mm256_cmpgt_epi64(
+                      _mm256_sub_epi64(_mm256_add_epi64(score, done), len),
+                      kv));
+    const __m256i open =
+        _mm256_andnot_si256(hopeless, _mm256_cmpgt_epi64(len, done));
+    if (_mm256_testz_si256(open, open)) break;
+    ColumnSymbols(g, j, sym);
+    __m256i hp = all1, hn = zero;  // top boundary row: +1 into block 0
+    for (size_t b = 0; b < kb; ++b) {
+      __m256i pvb = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(pv + b * kLaneWidth));
+      __m256i mvb = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(mv + b * kLaneWidth));
+      Avx2Step(pvb, mvb, LoadEq(job.peq + (1 + b) * job.symbols, sym),
+               b == kb - 1 ? last_mask : top, hp, hn);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(pv + b * kLaneWidth),
+                          pvb);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(mv + b * kLaneWidth),
+                          mvb);
+    }
+    score = _mm256_sub_epi64(score, hp);  // hp lanes are −1 masks: −= −1
+    score = _mm256_add_epi64(score, hn);
+    done = _mm256_add_epi64(done, one);
+    final_d = _mm256_blendv_epi8(final_d, score, _mm256_cmpeq_epi64(len, done));
+  }
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(job.scores), final_d);
+  job.columns = j;
 }
 
 #endif  // SSS_HAVE_AVX2_LANE_KERNEL
@@ -273,25 +403,34 @@ void LaneVerifier::SetQuery(std::string_view query) {
 }
 
 const uint64_t* LaneVerifier::PeqFor(const LaneGroupView& group) {
+  // Word-major rows, [word][symbol], so one column's lookups share a row:
+  // word 0 is all ones (the banded kernel's virtual rows above row 1),
+  // words 1..blocks_ hold the pattern bits, and a final zero word lets a
+  // band window read one word past the pattern.
+  const auto build = [&](std::vector<uint64_t>* peq, size_t symbols) {
+    peq->assign((blocks_ + 2) * symbols, 0);
+    std::fill(peq->begin(), peq->begin() + symbols, ~uint64_t{0});
+  };
   if (group.packed2) {
     if (!packed2_peq_ready_) {
-      packed2_peq_.assign(Dna2Codec::kAlphabetSize * blocks_, 0);
+      build(&packed2_peq_, Dna2Codec::kAlphabetSize);
       for (size_t i = 0; i < query_.size(); ++i) {
         const uint8_t code = Dna2Codec::Encode(query_[i]);
         // Query symbols outside {A,C,G,T} match no candidate code — the
         // same verdict raw-byte comparison gives, since packed2 groups
         // contain only pure-ACGT candidates.
         if (code == Dna2Codec::kInvalidCode) continue;
-        packed2_peq_[code * blocks_ + i / 64] |= uint64_t{1} << (i % 64);
+        packed2_peq_[(1 + i / 64) * Dna2Codec::kAlphabetSize + code] |=
+            uint64_t{1} << (i % 64);
       }
       packed2_peq_ready_ = true;
     }
     return packed2_peq_.data();
   }
   if (!byte_peq_ready_) {
-    byte_peq_.assign(256 * blocks_, 0);
+    build(&byte_peq_, 256);
     for (size_t i = 0; i < query_.size(); ++i) {
-      byte_peq_[static_cast<unsigned char>(query_[i]) * blocks_ + i / 64] |=
+      byte_peq_[(1 + i / 64) * 256 + static_cast<unsigned char>(query_[i])] |=
           uint64_t{1} << (i % 64);
     }
     byte_peq_ready_ = true;
@@ -322,8 +461,8 @@ void LaneVerifier::RunScalar(const LaneGroupView& g, int k,
   }
 }
 
-void LaneVerifier::VerifyGroup(const LaneGroupView& group, int k,
-                               KernelTier tier, int out[kLaneWidth]) {
+uint32_t LaneVerifier::VerifyGroup(const LaneGroupView& group, int k,
+                                   KernelTier tier, int out[kLaneWidth]) {
   SSS_DCHECK(k >= 0);
   if (query_.empty()) {
     // ed(ε, y) = |y|, reported exactly when <= k, else k+1 — what
@@ -333,19 +472,22 @@ void LaneVerifier::VerifyGroup(const LaneGroupView& group, int k,
                    ? static_cast<int>(group.lengths[l])
                    : k + 1;
     }
-    return;
+    return 0;
   }
   if (tier == KernelTier::kScalar) {
     RunScalar(group, k, out);
-    return;
+    return group.num_cols;
   }
   LaneKernelJob job;
   job.peq = PeqFor(group);
+  job.symbols = group.packed2 ? Dna2Codec::kAlphabetSize : 256;
   job.blocks = blocks_;
   job.last_mask = last_mask_;
   job.m = static_cast<int64_t>(query_.size());
+  job.k = k;
   job.group = &group;
-  if (blocks_ > 1) {
+  const bool banded = k <= kMaxBandedLaneK;
+  if (!banded) {
     pv_.resize(blocks_ * kLaneWidth);
     mv_.resize(blocks_ * kLaneWidth);
     job.pv = pv_.data();
@@ -355,22 +497,25 @@ void LaneVerifier::VerifyGroup(const LaneGroupView& group, int k,
   // The CPUID re-check makes a stray kAvx2 request on non-AVX2 hardware
   // degrade to SWAR instead of faulting (ResolveKernelTier already clamps;
   // this guards direct callers).
-  if (tier == KernelTier::kAvx2 &&
-      DetectCpuKernelTier() == KernelTier::kAvx2) {
-    RunAvx2(job);
+  if (tier == KernelTier::kAvx2 && cpu_has_avx2_) {
+    banded ? RunAvx2Banded(job) : RunAvx2Blocked(job);
   } else {
-    RunSwar(job);
+    banded ? RunSwarBanded(job) : RunSwarBlocked(job);
   }
 #else
   (void)tier;
-  RunSwar(job);
+  banded ? RunSwarBanded(job) : RunSwarBlocked(job);
 #endif
-  // Uniform clamp: the full recurrence computed the exact distance; values
-  // beyond k collapse to k+1 exactly like the per-pair kernel's reject
-  // paths (length filter included, since distance >= |length difference|).
+  // Uniform clamp: a lane the group retired before its last column was
+  // proven beyond k; a lane that reached it holds a value that is exact
+  // when <= k and > k otherwise. Both collapse to k+1 beyond k, exactly
+  // like the per-pair kernel's reject paths.
   for (uint32_t l = 0; l < kLaneWidth; ++l) {
-    out[l] = job.scores[l] <= k ? static_cast<int>(job.scores[l]) : k + 1;
+    const bool within =
+        (group.lengths[l] <= job.columns) & (job.scores[l] <= k);
+    out[l] = within ? static_cast<int>(job.scores[l]) : k + 1;
   }
+  return job.columns;
 }
 
 Status LaneVerifyRange(const LanePool& pool, const Query& query,
@@ -427,10 +572,17 @@ Status LaneVerifyRange(const LanePool& pool, const Query& query,
         }
       }
       if (live == 0) continue;
-      verifier.VerifyGroup(pool.Group(bucket, g), k, tier, dist);
+      // The group's retire column depends on the group and the query
+      // only, never on this slice, so both counters are the same under
+      // every execution strategy.
+      const uint32_t columns =
+          verifier.VerifyGroup(pool.Group(bucket, g), k, tier, dist);
+      stats->simd_lane_columns += uint64_t{columns} * live;
       for (uint32_t slot = lane_lo; slot < lane_hi; ++slot) {
         const uint32_t l = slot - g * kLaneWidth;
-        if (pass[l] && dist[l] <= k) out->push_back(ids[slot]);
+        if (!pass[l]) continue;
+        stats->dp_early_aborts += bucket.lengths[slot] > columns;
+        if (dist[l] <= k) out->push_back(ids[slot]);
       }
     }
   }

@@ -1,7 +1,12 @@
-// 3-bit packing for DNA alphabets — the paper's "Dictionary Compression"
-// future-work item (§6): an alphabet of five symbols {A,C,G,N,T} fits in
-// three bits per symbol, shrinking a read to 3/8 of its byte size and letting
-// the edit-distance inner loop compare packed words.
+// Dense DNA packing — the paper's "Dictionary Compression" future-work item
+// (§6). Two codecs:
+//   * Dna2Codec (2 bits, {A,C,G,T}) feeds a search path: core/lane_pool
+//     stores pure-ACGT lane groups as one byte of four 2-bit codes per
+//     column, which the lane kernels (core/simd_verify) read directly.
+//   * DnaCodec / PackedDna / PackedDnaPool (3 bits, {A,C,G,N,T}) shrink a
+//     read to 3/8 of its byte size. No engine's inner loop reads them any
+//     more; they remain a storage codec, measured by
+//     bench_ablation_bitpack and used by examples/dna_search.
 #pragma once
 
 #include <cstdint>

@@ -44,11 +44,15 @@ bool FlagSet::Has(std::string_view name) const {
   return true;
 }
 
-std::string FlagSet::GetString(std::string_view name,
-                               std::string fallback) const {
+Result<std::string> FlagSet::GetString(std::string_view name,
+                                       std::string fallback) const {
   const auto it = flags_.find(name);
-  if (it == flags_.end() || !it->second.has_text) return fallback;
+  if (it == flags_.end()) return fallback;
   it->second.read = true;
+  if (!it->second.has_text) {
+    return Status::Invalid("flag --" + std::string(name) +
+                           " requires a value");
+  }
   return it->second.text;
 }
 

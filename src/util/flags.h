@@ -25,8 +25,10 @@ class FlagSet {
   /// \brief True iff --name was present (with or without a value).
   bool Has(std::string_view name) const;
 
-  /// \brief String value of --name, or `fallback` when absent.
-  std::string GetString(std::string_view name, std::string fallback) const;
+  /// \brief String value of --name, or `fallback` when absent; fails when
+  /// --name is given without a value.
+  Result<std::string> GetString(std::string_view name,
+                                std::string fallback) const;
 
   /// \brief Integer value of --name; fails on unparsable values.
   Result<int64_t> GetInt(std::string_view name, int64_t fallback) const;

@@ -40,6 +40,7 @@ namespace sss {
   X(dp_early_aborts)                \
   X(simd_lanes_verified)            \
   X(simd_fallback_pairs)            \
+  X(simd_lane_columns)              \
   X(dispatch_tier)                  \
   X(trie_nodes_visited)             \
   X(trie_nodes_pruned)              \
@@ -101,10 +102,14 @@ struct KernelCounters {
 ///     many-vs-many lane kernel), simd_fallback_pairs (candidates a
 ///     non-scalar tier had to verify per-pair: empty queries, filters on,
 ///     or a non-default verify kernel); their sum equals verify_calls on
-///     the lane-capable engines. dispatch_tier is a label, not a count:
-///     the resolved KernelTier (0=scalar 1=swar 2=avx2) the batch drivers
-///     record once per batch — comparable across strategies, meaningless
-///     to sum across batches run under different tiers;
+///     the lane-capable engines. simd_lane_columns adds, per lane-verified
+///     candidate, the text columns its group advanced before retiring,
+///     and a lane-verified candidate whose group retired before its last
+///     column counts once in dp_early_aborts. dispatch_tier is a label,
+///     not a count: the resolved KernelTier (0=scalar 1=swar 2=avx2) the
+///     batch drivers record once per batch — comparable across
+///     strategies, meaningless to sum across batches run under different
+///     tiers;
 ///   * index traversal — trie_nodes_*, partition_probes: work the index
 ///     structures did;
 ///   * approx tier — approx_embeddings_built (CGK embeddings computed for

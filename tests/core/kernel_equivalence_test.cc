@@ -2,13 +2,15 @@
 // (core/simd_verify): every executable tier — scalar, SWAR, and AVX2 when
 // the CPU has it — must return BYTE-IDENTICAL verdicts to the per-pair
 // reference on the same (query, candidate, k) triples. The suite drives the
-// tiers three ways:
+// tiers four ways:
 //
 //   1. exhaustively over small alphabets (every boundary of the Myers
 //      recurrence at tiny sizes, including the packed2 DNA column layout);
-//   2. on >= 5000 randomized triples per tier spanning the one-block,
-//      two-block and generic multi-block kernels;
-//   3. through whole engines, where all KernelTierChoice values must
+//   2. on >= 5000 randomized triples per tier spanning short, ~100-symbol
+//      and multi-word queries;
+//   3. on adversarial lane groups built to stress the early retire
+//      (KernelRetireTest);
+//   4. through whole engines, where all KernelTierChoice values must
 //      produce identical match lists under serial and sharded execution.
 //
 // Metamorphic properties of edit distance (symmetry, triangle inequality,
@@ -142,10 +144,11 @@ TEST(KernelEquivalenceTest, ExhaustiveDnaPacked2) {
 
 // The acceptance-criteria workhorse: >= 5000 randomized triples, each
 // verified on every executable tier against the clamped reference. The
-// three regimes pin all kernel shapes: short generic strings (one-block),
-// ~100-symbol DNA (the two-block register specialization, packed2 and
-// byte-mode via an occasional 'N'), and long strings crossing 64 and 128
-// symbols (the generic multi-block loop).
+// three regimes pin all kernel shapes: short generic strings (one peq
+// word), ~100-symbol DNA (packed2, and byte mode via an occasional 'N'),
+// and long strings crossing 64 and 128 symbols (band windows spanning
+// word boundaries). k stays <= 12 here; MixedLengthGroupsPerLaneCapture
+// and KernelRetireTest cover the blocked kernel (k > 31).
 TEST(KernelEquivalenceTest, RandomizedTriplesAllTiersMatchReference) {
   Xoshiro256 rng(20260810);
   LaneVerifier verifier;
@@ -209,6 +212,247 @@ TEST(KernelEquivalenceTest, MixedLengthGroupsPerLaneCapture) {
         }
       }
     }
+  }
+}
+
+// --- Adversarial early-retire cases. A group stops once every lane is
+// --- settled, so each case below builds one explicit group and checks every
+// --- lane on every tier against the clamped reference; the wide tiers must
+// --- also agree on the column the group retired at.
+
+/// `s` with `edits` random substitutions, insertions or deletions.
+std::string Mutate(Xoshiro256* rng, std::string s, int edits,
+                   std::string_view alphabet) {
+  for (int e = 0; e < edits; ++e) {
+    const char c = alphabet[rng->Uniform(alphabet.size())];
+    const size_t pos = s.empty() ? 0 : rng->Uniform(s.size());
+    switch (s.empty() ? 1 : rng->Uniform(3)) {
+      case 0:
+        s[pos] = c;
+        break;
+      case 1:
+        s.insert(s.begin() + static_cast<ptrdiff_t>(pos), c);
+        break;
+      default:
+        s.erase(s.begin() + static_cast<ptrdiff_t>(pos));
+        break;
+    }
+  }
+  return s;
+}
+
+struct GroupRun {
+  uint32_t columns = 0;  // the retire column the wide tiers agreed on
+  uint32_t num_cols = 0;
+  bool packed2 = false;
+};
+
+/// Puts `lanes` (at most kLaneWidth candidates) into ONE lane group — a
+/// single wide length bucket holds them all — and checks every tier's
+/// verdict for every lane against the clamped reference.
+GroupRun CheckGroup(LaneVerifier* verifier, const std::string& query,
+                    const std::vector<std::string>& lanes, int k,
+                    AlphabetKind kind) {
+  Dataset dataset("group", kind);
+  for (const std::string& lane : lanes) dataset.Add(lane);
+  LanePoolOptions options;
+  options.length_bucket_width = 1u << 20;
+  const LanePool pool = LanePool::Build(dataset, options);
+  GroupRun run;
+  if (pool.buckets().size() != 1 || pool.buckets()[0].num_groups() != 1) {
+    ADD_FAILURE() << "the lanes did not form one group";
+    return run;
+  }
+  const LaneGroupView group = pool.Group(pool.buckets()[0], 0);
+  run.num_cols = group.num_cols;
+  run.packed2 = group.packed2;
+  verifier->SetQuery(query);
+  bool have_columns = false;
+  for (KernelTier tier : ExecutableTiers()) {
+    int out[kLaneWidth];
+    const uint32_t columns = verifier->VerifyGroup(group, k, tier, out);
+    for (uint32_t l = 0; l < group.active; ++l) {
+      const std::string lane(dataset.View(group.ids[l]));
+      EXPECT_EQ(out[l], ClampedReference(query, lane, k))
+          << "tier=" << ToString(tier) << " k=" << k << " lane=" << l
+          << " q=\"" << query << "\" c=\"" << lane << "\"";
+    }
+    if (tier == KernelTier::kScalar) continue;
+    EXPECT_LE(columns, group.num_cols) << "tier=" << ToString(tier);
+    if (have_columns) {
+      EXPECT_EQ(columns, run.columns) << "tier=" << ToString(tier);
+    }
+    run.columns = columns;
+    have_columns = true;
+  }
+  return run;
+}
+
+// m <= k: the initial last-row score m is itself <= k, so a lane the group
+// retires before its last column must report k + 1, never that initial m.
+TEST(KernelRetireTest, QueryNoLongerThanK) {
+  Xoshiro256 rng(31);
+  LaneVerifier verifier;
+  for (int iter = 0; iter < 300; ++iter) {
+    const int k = 1 + static_cast<int>(rng.Uniform(12));
+    const std::string q = RandomString(&rng, "ACGT", 1, k);
+    std::vector<std::string> lanes;
+    for (uint32_t l = 0; l < kLaneWidth; ++l) {
+      lanes.push_back(RandomString(&rng, "ACGT", 0, 3 * k + 4));
+    }
+    CheckGroup(&verifier, q, lanes, k, AlphabetKind::kDna);
+  }
+  // The blocked kernel (k above the band limit) with lanes far longer than
+  // the query: all fail the length filter and retire at column 0.
+  const std::string q = RandomString(&rng, "ACGT", 5, 10);
+  std::vector<std::string> lanes;
+  for (uint32_t l = 0; l < kLaneWidth; ++l) {
+    lanes.push_back(RandomString(&rng, "ACGT", 60, 90));
+  }
+  const int k = kMaxBandedLaneK + 9;
+  EXPECT_EQ(CheckGroup(&verifier, q, lanes, k, AlphabetKind::kDna).columns,
+            0u);
+}
+
+// One lane within k of the query keeps the group running to its last
+// column; the three hopeless lanes beside it report k + 1.
+TEST(KernelRetireTest, OneMatchingLaneBesideThreeHopeless) {
+  Xoshiro256 rng(32);
+  LaneVerifier verifier;
+  for (int iter = 0; iter < 200; ++iter) {
+    const int k = static_cast<int>(rng.Uniform(17));
+    const std::string q = RandomString(&rng, "ACGT", 90, 110);
+    std::vector<std::string> lanes;
+    for (uint32_t l = 0; l < kLaneWidth; ++l) {
+      lanes.push_back(RandomString(&rng, "ACGT", 90, 110));
+    }
+    const uint32_t match = static_cast<uint32_t>(rng.Uniform(kLaneWidth));
+    lanes[match] = Mutate(&rng, q, static_cast<int>(rng.Uniform(k + 1)),
+                          "ACGT");
+    const GroupRun run = CheckGroup(&verifier, q, lanes, k, AlphabetKind::kDna);
+    EXPECT_GE(run.columns, lanes[match].size());
+  }
+}
+
+// Short lanes close to the query end (and are captured) while a longer
+// lane still holds the group open; hopeless short lanes end as well.
+TEST(KernelRetireTest, LanesEndBeforeTheGroupRetires) {
+  Xoshiro256 rng(33);
+  LaneVerifier verifier;
+  for (int iter = 0; iter < 200; ++iter) {
+    const int k = 2 + static_cast<int>(rng.Uniform(10));
+    const std::string q = RandomString(&rng, "ACGT", 40, 80);
+    std::vector<std::string> lanes = {Mutate(&rng, q, 1, "ACGT")};
+    for (uint32_t l = 1; l < kLaneWidth; ++l) {
+      const size_t cut = q.size() - 1 - rng.Uniform(k);
+      lanes.push_back(l == 3 ? RandomString(&rng, "ACGT", cut, cut)
+                             : Mutate(&rng, q.substr(0, cut), 1, "ACGT"));
+    }
+    const GroupRun run = CheckGroup(&verifier, q, lanes, k, AlphabetKind::kDna);
+    EXPECT_GE(run.columns, lanes[0].size());
+  }
+}
+
+// Lanes whose length differs from the query's by more than k are settled
+// before the first column; the group runs only for the lanes that pass.
+TEST(KernelRetireTest, LanesFailingTheLengthFilter) {
+  Xoshiro256 rng(34);
+  LaneVerifier verifier;
+  for (int iter = 0; iter < 200; ++iter) {
+    const int k = static_cast<int>(rng.Uniform(40));
+    const std::string q = RandomString(&rng, "ACGT", 30, 70);
+    std::vector<std::string> lanes = {
+        RandomString(&rng, "ACGT", q.size() + k + 1, q.size() + k + 30),
+        RandomString(&rng, "ACGT", 0, q.size() > static_cast<size_t>(k) + 1
+                                          ? q.size() - k - 1
+                                          : 0),
+        Mutate(&rng, q, static_cast<int>(rng.Uniform(k + 1)), "ACGT"),
+        RandomString(&rng, "ACGT", q.size() + k + 1, q.size() + k + 5)};
+    CheckGroup(&verifier, q, lanes, k, AlphabetKind::kDna);
+  }
+  // Every lane fails: nothing runs.
+  const std::string q = RandomString(&rng, "ACGT", 50, 50);
+  const std::vector<std::string> far = {RandomString(&rng, "ACGT", 70, 70),
+                                        RandomString(&rng, "ACGT", 80, 80),
+                                        RandomString(&rng, "ACGT", 20, 20)};
+  EXPECT_EQ(CheckGroup(&verifier, q, far, 8, AlphabetKind::kDna).columns, 0u);
+}
+
+// k = 0: only an exact copy survives; a single edit retires the lane.
+TEST(KernelRetireTest, ZeroThreshold) {
+  Xoshiro256 rng(35);
+  LaneVerifier verifier;
+  for (int iter = 0; iter < 300; ++iter) {
+    const std::string q = RandomString(&rng, "ACGT", 1, 120);
+    std::vector<std::string> lanes = {q};
+    for (uint32_t l = 1; l < kLaneWidth; ++l) {
+      lanes.push_back(Mutate(&rng, q, 1, "ACGT"));
+    }
+    CheckGroup(&verifier, q, lanes, 0, AlphabetKind::kDna);
+  }
+}
+
+// Either side of the one-word band limit, on lanes whose distance lands
+// around the threshold. The query with exactly k deletions has distance k
+// and a retire bound of exactly k from column 0 on, so alone in its group
+// it is lost by a retire on "bound >= k" instead of "bound > k".
+TEST(KernelRetireTest, ThresholdsAroundTheBandLimit) {
+  Xoshiro256 rng(36);
+  LaneVerifier verifier;
+  for (int iter = 0; iter < 120; ++iter) {
+    const std::string q = RandomString(&rng, "ACGT", 40, 140);
+    for (int k : {kMaxBandedLaneK, kMaxBandedLaneK + 1}) {
+      std::string deleted = q;
+      for (int e = 0; e < k; ++e) {
+        deleted.erase(rng.Uniform(deleted.size()), 1);
+      }
+      CheckGroup(&verifier, q, {deleted}, k, AlphabetKind::kDna);
+      std::vector<std::string> lanes = {deleted};
+      for (uint32_t l = 1; l < kLaneWidth; ++l) {
+        lanes.push_back(
+            Mutate(&rng, q, 28 + static_cast<int>(rng.Uniform(8)), "ACGT"));
+      }
+      CheckGroup(&verifier, q, lanes, k, AlphabetKind::kDna);
+    }
+  }
+}
+
+// Queries longer than two 64-bit blocks: the band window slides across
+// three or more peq words, and the blocked kernel spills its state.
+TEST(KernelRetireTest, QueriesLongerThan128) {
+  Xoshiro256 rng(37);
+  LaneVerifier verifier;
+  for (int iter = 0; iter < 120; ++iter) {
+    const std::string q = RandomString(&rng, "ACGT", 129, 300);
+    std::vector<std::string> lanes;
+    for (uint32_t l = 0; l < kLaneWidth; ++l) {
+      lanes.push_back(rng.Uniform(4) == 0
+                          ? RandomString(&rng, "ACGT", 129, 300)
+                          : Mutate(&rng, q,
+                                   static_cast<int>(rng.Uniform(50)), "ACGT"));
+    }
+    for (int k : {3, 17, kMaxBandedLaneK, kMaxBandedLaneK + 1, 45}) {
+      CheckGroup(&verifier, q, lanes, k, AlphabetKind::kDna);
+    }
+  }
+}
+
+// Reads containing 'N' cannot pack into 2-bit codes, so their group uses
+// the byte column layout and the 256-row peq table.
+TEST(KernelRetireTest, ReadsWithNInByteLayoutGroups) {
+  Xoshiro256 rng(38);
+  LaneVerifier verifier;
+  for (int iter = 0; iter < 200; ++iter) {
+    const int k = static_cast<int>(rng.Uniform(20));
+    const std::string q = RandomString(&rng, "ACGTN", 60, 110);
+    std::vector<std::string> lanes = {
+        Mutate(&rng, q, static_cast<int>(rng.Uniform(k + 2)), "ACGTN")};
+    for (uint32_t l = 1; l < kLaneWidth; ++l) {
+      lanes.push_back(RandomString(&rng, "ACGT", 60, 110));
+    }
+    lanes.back() += 'N';
+    const GroupRun run = CheckGroup(&verifier, q, lanes, k, AlphabetKind::kDna);
+    EXPECT_FALSE(run.packed2);
   }
 }
 

@@ -145,8 +145,11 @@ TEST(StatsConsistencyTest, LaneTierCountersIdenticalAcrossStrategies) {
   EXPECT_EQ(serial.simd_fallback_pairs, 0u);
   EXPECT_EQ(serial.simd_lanes_verified + serial.simd_fallback_pairs,
             serial.verify_calls);
-  // The lane kernels never call the per-pair DP, so its counters stay zero.
-  EXPECT_EQ(serial.dp_early_aborts, 0u);
+  // The lane kernels retire a group once every lane is settled: some
+  // verified lanes end before their last column, and those count as early
+  // aborts.
+  EXPECT_GT(serial.dp_early_aborts, 0u);
+  EXPECT_GT(serial.simd_lane_columns, 0u);
   EXPECT_EQ(serial.candidates_considered,
             serial.length_filter_rejects + serial.verify_calls);
 
@@ -157,6 +160,61 @@ TEST(StatsConsistencyTest, LaneTierCountersIdenticalAcrossStrategies) {
     EXPECT_EQ(got, serial) << "strategy " << ToString(strategy) << "\nserial:\n"
                            << serial.ToString() << "\ngot:\n"
                            << got.ToString();
+  }
+}
+
+// The retire column of a lane group depends on the group, the query and k
+// only. So simd_lane_columns and dp_early_aborts must not move when sharding
+// cuts through lane groups, nor between the SWAR and AVX2 tiers, on either
+// the banded kernel (k <= kMaxBandedLaneK) or the blocked one (k above it).
+TEST(StatsConsistencyTest, LaneRetireCountersIdenticalAcrossShardsAndTiers) {
+  if (KernelTierForced()) {
+    GTEST_SKIP() << "SSS_FORCE_KERNEL_TIER overrides the context choice";
+  }
+  Xoshiro256 rng(0x57B1);
+  Dataset d = RandomDataset(&rng, "ACGT", 300, 20, 90, AlphabetKind::kDna);
+  auto searcher =
+      std::move(MakeSearcher(EngineKind::kSequentialScan, d)).ValueOrDie();
+  // Query lengths stay inside the corpus range so no strategy skips one.
+  QuerySet queries;
+  for (int k : {0, 1, 4, 8, 12, 31, 32, 40}) {
+    queries.push_back({RandomString(&rng, "ACGT", 20, 90), k});
+  }
+
+  const auto collect = [&](ExecutionOptions exec, KernelTierChoice tier) {
+    StatsSink sink;
+    SearchContext ctx;
+    ctx.stats = &sink;
+    ctx.kernel_tier = tier;
+    const BatchResult batch = searcher->SearchBatch(queries, exec, ctx);
+    EXPECT_EQ(batch.completed, queries.size());
+    SearchStats s = EngineSide(sink.Collected());
+    s.dispatch_tier = 0;  // a label, not work
+    return s;
+  };
+  ExecutionOptions serial_exec;
+  serial_exec.strategy = ExecutionStrategy::kSerial;
+  ExecutionOptions sharded_exec;
+  sharded_exec.strategy = ExecutionStrategy::kSharded;
+  sharded_exec.num_threads = 3;
+  sharded_exec.shard_size = 7;  // not a multiple of the lane width
+
+  const SearchStats want = collect(serial_exec, KernelTierChoice::kSwar);
+  EXPECT_GT(want.dp_early_aborts, 0u);
+  EXPECT_LT(want.dp_early_aborts, want.simd_lanes_verified);
+  EXPECT_GT(want.simd_lane_columns, 0u);
+  std::vector<KernelTierChoice> tiers = {KernelTierChoice::kSwar};
+  if (DetectCpuKernelTier() == KernelTier::kAvx2) {
+    tiers.push_back(KernelTierChoice::kAvx2);
+  }
+  for (KernelTierChoice tier : tiers) {
+    for (const ExecutionOptions& exec : {serial_exec, sharded_exec}) {
+      const SearchStats got = collect(exec, tier);
+      EXPECT_EQ(got, want) << "tier " << ToString(tier) << " strategy "
+                           << ToString(exec.strategy) << "\nwant:\n"
+                           << want.ToString() << "\ngot:\n"
+                           << got.ToString();
+    }
   }
 }
 

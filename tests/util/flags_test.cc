@@ -22,12 +22,12 @@ TEST(FlagsTest, EmptyCommandLine) {
 TEST(FlagsTest, SpaceSeparatedValue) {
   FlagSet flags = MustParse({"--name", "value"});
   EXPECT_TRUE(flags.Has("name"));
-  EXPECT_EQ(flags.GetString("name", ""), "value");
+  EXPECT_EQ(*flags.GetString("name", ""), "value");
 }
 
 TEST(FlagsTest, EqualsSeparatedValue) {
   FlagSet flags = MustParse({"--key=some=thing"});
-  EXPECT_EQ(flags.GetString("key", ""), "some=thing");
+  EXPECT_EQ(*flags.GetString("key", ""), "some=thing");
 }
 
 TEST(FlagsTest, BooleanSwitch) {
@@ -67,6 +67,18 @@ TEST(FlagsTest, IntegerGarbageIsInvalid) {
 TEST(FlagsTest, DanglingValueFlagIsInvalidWhenQueriedAsInt) {
   FlagSet flags = MustParse({"--n"});
   EXPECT_FALSE(flags.GetInt("n", 0).ok());
+}
+
+// A bare string flag is a usage error, read like any other flag: it must
+// not fall back to the default nor surface later as an unknown flag.
+TEST(FlagsTest, DanglingValueFlagIsInvalidWhenQueriedAsString) {
+  FlagSet flags = MustParse({"--engine", "--port", "7"});
+  const Result<std::string> engine = flags.GetString("engine", "scan");
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().message(), "flag --engine requires a value");
+  EXPECT_EQ(*flags.GetString("missing", "fallback"), "fallback");
+  (void)flags.GetInt("port", 0);
+  EXPECT_TRUE(flags.UnreadFlags().empty());
 }
 
 TEST(FlagsTest, DoubleValues) {

@@ -70,7 +70,7 @@ int Usage() {
                "           [--threads N] [--shard-size N] [--bucket-width N]\n"
                "           [--deadline-ms MS] [--max-line-bytes N]\n"
                "           [--out FILE] [--dna] [--latency]\n"
-               "           [--kernel-tier scalar|swar|avx2|auto]\n"
+               "           [--kernel-tier auto|scalar|swar|avx2] (default auto)\n"
                "           [--stats] [--stats-json]\n"
                "  join     --data FILE --k K [--out FILE] [--threads N] [--dna]\n"
                "  stats    --data FILE [--dna] [--max-line-bytes N]\n"
@@ -117,12 +117,13 @@ AlphabetKind AlphabetFromFlags(const FlagSet& flags) {
 }
 
 int RunGenerate(const FlagSet& flags) {
-  const std::string workload = flags.GetString("workload", "city");
+  SSS_ASSIGN_OR_RETURN_CLI(const std::string workload,
+                           flags.GetString("workload", "city"));
   SSS_ASSIGN_OR_RETURN_CLI(int64_t count, flags.GetInt("count", 10000));
   SSS_ASSIGN_OR_RETURN_CLI(
       int64_t seed,
       flags.GetInt("seed", static_cast<int64_t>(Xoshiro256::kDefaultSeed)));
-  const std::string out = flags.GetString("out", "");
+  SSS_ASSIGN_OR_RETURN_CLI(const std::string out, flags.GetString("out", ""));
   if (out.empty()) {
     std::fprintf(stderr, "generate: --out is required\n");
     return kExitUsage;
@@ -156,7 +157,8 @@ int RunGenerate(const FlagSet& flags) {
 
   SSS_ASSIGN_OR_RETURN_CLI(int64_t num_queries, flags.GetInt("queries", 0));
   if (num_queries > 0) {
-    const std::string queries_out = flags.GetString("queries-out", "");
+    SSS_ASSIGN_OR_RETURN_CLI(const std::string queries_out,
+                             flags.GetString("queries-out", ""));
     if (queries_out.empty()) {
       std::fprintf(stderr, "generate: --queries needs --queries-out\n");
       return kExitUsage;
@@ -175,8 +177,10 @@ int RunGenerate(const FlagSet& flags) {
 }
 
 int RunSearch(const FlagSet& flags) {
-  const std::string data_path = flags.GetString("data", "");
-  const std::string query_path = flags.GetString("queries", "");
+  SSS_ASSIGN_OR_RETURN_CLI(const std::string data_path,
+                           flags.GetString("data", ""));
+  SSS_ASSIGN_OR_RETURN_CLI(const std::string query_path,
+                           flags.GetString("queries", ""));
   if (data_path.empty() || query_path.empty()) {
     std::fprintf(stderr, "search: --data and --queries are required\n");
     return kExitUsage;
@@ -201,9 +205,13 @@ int RunSearch(const FlagSet& flags) {
   // The full spec grammar — approx:tables=8,bits=16 included — parses here,
   // so the CLI can drive any engine the server can (and a typo'd name gets
   // the registry-enumerating diagnostic).
-  auto engine_spec = ParseEngineSpec(flags.GetString("engine", "scan"));
+  SSS_ASSIGN_OR_RETURN_CLI(const std::string engine_flag,
+                           flags.GetString("engine", "scan"));
+  auto engine_spec = ParseEngineSpec(engine_flag);
   if (!engine_spec.ok()) return Fail(engine_spec.status());
-  auto strategy = ParseStrategy(flags.GetString("strategy", "pool"));
+  SSS_ASSIGN_OR_RETURN_CLI(const std::string strategy_flag,
+                           flags.GetString("strategy", "pool"));
+  auto strategy = ParseStrategy(strategy_flag);
   if (!strategy.ok()) return Fail(strategy.status());
   SSS_ASSIGN_OR_RETURN_CLI(int64_t threads, flags.GetInt("threads", 0));
   SSS_ASSIGN_OR_RETURN_CLI(int64_t shard_size, flags.GetInt("shard-size", 0));
@@ -228,7 +236,8 @@ int RunSearch(const FlagSet& flags) {
 
   SearchContext ctx;
   if (deadline_ms > 0) ctx.deadline = Deadline::AfterMillis(deadline_ms);
-  const std::string tier_flag = flags.GetString("kernel-tier", "scalar");
+  SSS_ASSIGN_OR_RETURN_CLI(const std::string tier_flag,
+                           flags.GetString("kernel-tier", "auto"));
   const std::optional<KernelTierChoice> tier = ParseKernelTierChoice(tier_flag);
   if (!tier.has_value()) {
     std::fprintf(stderr,
@@ -294,7 +303,7 @@ int RunSearch(const FlagSet& flags) {
                 histogram.ScaledSummary(1e3, "us").c_str());
   }
 
-  const std::string out = flags.GetString("out", "");
+  SSS_ASSIGN_OR_RETURN_CLI(const std::string out, flags.GetString("out", ""));
   if (!out.empty()) {
     Status st = WriteResultFile(out, results);
     if (!st.ok()) return Fail(st);
@@ -311,7 +320,8 @@ int RunSearch(const FlagSet& flags) {
 }
 
 int RunJoin(const FlagSet& flags) {
-  const std::string data_path = flags.GetString("data", "");
+  SSS_ASSIGN_OR_RETURN_CLI(const std::string data_path,
+                           flags.GetString("data", ""));
   if (data_path.empty()) {
     std::fprintf(stderr, "join: --data is required\n");
     return kExitUsage;
@@ -333,7 +343,7 @@ int RunJoin(const FlagSet& flags) {
               static_cast<long long>(k), pairs.size(),
               timer.ElapsedSeconds());
 
-  const std::string out = flags.GetString("out", "");
+  SSS_ASSIGN_OR_RETURN_CLI(const std::string out, flags.GetString("out", ""));
   if (!out.empty()) {
     std::FILE* f = std::fopen(out.c_str(), "wb");
     if (f == nullptr) return Fail(Status::IOError("cannot open " + out));
@@ -345,7 +355,8 @@ int RunJoin(const FlagSet& flags) {
 }
 
 int RunStats(const FlagSet& flags) {
-  const std::string data_path = flags.GetString("data", "");
+  SSS_ASSIGN_OR_RETURN_CLI(const std::string data_path,
+                           flags.GetString("data", ""));
   if (data_path.empty()) {
     std::fprintf(stderr, "stats: --data is required\n");
     return kExitUsage;

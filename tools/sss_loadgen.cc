@@ -324,12 +324,16 @@ int Run(const FlagSet& flags) {
     std::fprintf(stderr, "sss_loadgen: --port is required\n");
     return kExitUsage;
   }
-  const std::string query_path = flags.GetString("queries", "");
+  Result<std::string> query_flag = flags.GetString("queries", "");
+  if (!query_flag.ok()) return Fail(query_flag.status());
+  const std::string& query_path = *query_flag;
   if (query_path.empty()) {
     std::fprintf(stderr, "sss_loadgen: --queries is required\n");
     return kExitUsage;
   }
-  const std::string host = flags.GetString("host", "127.0.0.1");
+  Result<std::string> host_flag = flags.GetString("host", "127.0.0.1");
+  if (!host_flag.ok()) return Fail(host_flag.status());
+  const std::string& host = *host_flag;
   Result<int64_t> default_k = flags.GetInt("default-k", 1);
   if (!default_k.ok()) return Fail(default_k.status());
   // --connections is the primary spelling; --concurrency is the historical
@@ -374,7 +378,9 @@ int Run(const FlagSet& flags) {
   MixedThresholds mixed_storage;
   MixedThresholds* mixed = nullptr;
   if (flags.Has("mixed-thresholds")) {
-    const std::string spec = flags.GetString("mixed-thresholds", "");
+    Result<std::string> spec_flag = flags.GetString("mixed-thresholds", "");
+    if (!spec_flag.ok()) return Fail(spec_flag.status());
+    const std::string& spec = *spec_flag;
     size_t pos = 0;
     while (pos <= spec.size()) {
       const size_t comma = std::min(spec.find(',', pos), spec.size());

@@ -177,16 +177,19 @@ void PrintStatsJson(const Server& server, const Router& router) {
 }
 
 int Run(const FlagSet& flags) {
-  const std::string shards_spec = flags.GetString("shards", "");
-  if (shards_spec.empty()) {
+  Result<std::string> shards_spec = flags.GetString("shards", "");
+  if (!shards_spec.ok()) return Fail(shards_spec.status());
+  if (shards_spec->empty()) {
     std::fprintf(stderr, "sss_router: --shards is required\n");
     return kExitUsage;
   }
-  Result<ShardSet> shards = ShardSet::Parse(shards_spec);
+  Result<ShardSet> shards = ShardSet::Parse(*shards_spec);
   if (!shards.ok()) return Fail(shards.status());
 
   ServerOptions options;
-  options.host = flags.GetString("host", "127.0.0.1");
+  Result<std::string> host = flags.GetString("host", "127.0.0.1");
+  if (!host.ok()) return Fail(host.status());
+  options.host = *host;
   Result<int64_t> port = flags.GetInt("port", 0);
   if (!port.ok()) return Fail(port.status());
   if (*port < 0 || *port > 65535) {
@@ -240,7 +243,9 @@ int Run(const FlagSet& flags) {
     *f.out = static_cast<uint32_t>(*value);
   }
 
-  Status fp = ArmFailpoints(flags.GetString("failpoint", ""));
+  Result<std::string> failpoint = flags.GetString("failpoint", "");
+  if (!failpoint.ok()) return Fail(failpoint.status());
+  Status fp = ArmFailpoints(*failpoint);
   if (!fp.ok()) return Fail(fp);
   Result<bool> stats_json = flags.GetBool("stats-json", false);
   if (!stats_json.ok()) return Fail(stats_json.status());

@@ -204,15 +204,20 @@ void PrintStatsJson(const Server& server, const StatsSink& sink,
 }
 
 int Run(const FlagSet& flags) {
-  const std::string data_path =
-      flags.GetString("data", flags.GetString("dataset", ""));
+  Result<std::string> dataset_alias = flags.GetString("dataset", "");
+  if (!dataset_alias.ok()) return Fail(dataset_alias.status());
+  Result<std::string> data_flag = flags.GetString("data", *dataset_alias);
+  if (!data_flag.ok()) return Fail(data_flag.status());
+  const std::string& data_path = *data_flag;
   if (data_path.empty()) {
     std::fprintf(stderr, "sss_server: --data is required\n");
     return kExitUsage;
   }
 
   ServerOptions options;
-  options.host = flags.GetString("host", "127.0.0.1");
+  Result<std::string> bind_host = flags.GetString("host", "127.0.0.1");
+  if (!bind_host.ok()) return Fail(bind_host.status());
+  options.host = *bind_host;
   Result<int64_t> port = flags.GetInt("port", 0);
   if (!port.ok()) return Fail(port.status());
   if (*port < 0 || *port > 65535) {
@@ -266,7 +271,9 @@ int Run(const FlagSet& flags) {
   if (!backlog.ok()) return Fail(backlog.status());
   options.backlog = static_cast<int>(*backlog);
 
-  Status fp = ArmFailpoints(flags.GetString("failpoint", ""));
+  Result<std::string> failpoint = flags.GetString("failpoint", "");
+  if (!failpoint.ok()) return Fail(failpoint.status());
+  Status fp = ArmFailpoints(*failpoint);
   if (!fp.ok()) return Fail(fp);
 
   Result<bool> dna = flags.GetBool("dna", false);
@@ -275,11 +282,12 @@ int Run(const FlagSet& flags) {
   if (!reload_on_sighup.ok()) return Fail(reload_on_sighup.status());
   Result<bool> stats_json = flags.GetBool("stats-json", false);
   if (!stats_json.ok()) return Fail(stats_json.status());
-  const std::string engine_list = flags.GetString("engine", "scan");
+  Result<std::string> engine_list = flags.GetString("engine", "scan");
+  if (!engine_list.ok()) return Fail(engine_list.status());
   if (!RejectUnreadFlags(flags)) return kExitUsage;
 
   std::vector<EngineSpec> specs;
-  for (const std::string& name : SplitCommas(engine_list)) {
+  for (const std::string& name : SplitCommas(*engine_list)) {
     auto spec = ParseEngineSpec(name);
     if (!spec.ok()) return Fail(spec.status());
     specs.push_back(*spec);
