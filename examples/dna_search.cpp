@@ -3,8 +3,7 @@
 // Generates reads from a synthetic genome (the near-duplicate clustering of
 // real read sets), then demonstrates the paper's DNA-side conclusion: the
 // trie index beats the sequential scan on long strings with a tiny
-// alphabet. Also shows the 3-bit dictionary compression from the paper's
-// future-work list.
+// alphabet.
 //
 // Usage: dna_search [num_reads] [num_queries]
 #include <cstdio>
@@ -13,7 +12,6 @@
 #include "core/searcher.h"
 #include "gen/dna_generator.h"
 #include "gen/query_generator.h"
-#include "util/bitpack.h"
 #include "util/stopwatch.h"
 
 int main(int argc, char** argv) {
@@ -57,22 +55,6 @@ int main(int argc, char** argv) {
                 (*searcher)->name().c_str(), seconds, queries.size(),
                 total_matches,
                 static_cast<double>((*searcher)->memory_bytes()) / 1e6);
-  }
-
-  // Dictionary compression (paper §6): pack the whole read set at 3
-  // bits/symbol and report the ratio.
-  sss::PackedDnaPool packed;
-  bool all_packed = true;
-  for (size_t i = 0; i < reads.size() && all_packed; ++i) {
-    all_packed = packed.Add(reads.View(i)).ok();
-  }
-  if (all_packed) {
-    std::printf(
-        "\n3-bit dictionary compression: %zu symbols -> %zu bytes "
-        "(%.2fx smaller than 1 byte/symbol)\n",
-        packed.total_symbols(), packed.packed_bytes(),
-        static_cast<double>(packed.total_symbols()) /
-            static_cast<double>(packed.packed_bytes()));
   }
   return 0;
 }

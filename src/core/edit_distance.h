@@ -84,8 +84,8 @@ int BoundedMyers(std::string_view x, std::string_view y, int k,
 /// distance: insert/delete/replace plus adjacent transposition, each cost
 /// 1, with no substring edited twice. The measure spell checkers usually
 /// want ("hte" is one typo away from "the", not two). Not a metric in the
-/// strict sense (triangle inequality can fail); offered as a kernel and in
-/// RankedSearch-style applications, not in the exact threshold engines.
+/// strict sense (triangle inequality can fail); offered as a standalone
+/// kernel, not in the exact threshold engines. Only its tests call it.
 int OsaDistance(std::string_view x, std::string_view y);
 
 /// \brief Bounded OSA distance: exact when ≤ k, any value > k otherwise.

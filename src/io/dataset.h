@@ -12,7 +12,7 @@
 namespace sss {
 
 /// \brief What alphabet a dataset is drawn from. Engines use this to pick
-/// specialized layouts (e.g. 5-way trie fanout and 3-bit packing for DNA).
+/// specialized settings (e.g. the symbols the frequency filter tracks).
 enum class AlphabetKind {
   kGeneric,  // arbitrary single-byte symbols (city names: Latin-1)
   kDna,      // {A, C, G, N, T}

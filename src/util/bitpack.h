@@ -4,9 +4,8 @@
 //     stores pure-ACGT lane groups as one byte of four 2-bit codes per
 //     column, which the lane kernels (core/simd_verify) read directly.
 //   * DnaCodec / PackedDna / PackedDnaPool (3 bits, {A,C,G,N,T}) shrink a
-//     read to 3/8 of its byte size. No engine's inner loop reads them any
-//     more; they remain a storage codec, measured by
-//     bench_ablation_bitpack and used by examples/dna_search.
+//     read to 3/8 of its byte size. No engine, tool, bench or example
+//     reads them; only their own tests do.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,7 @@
 #include "util/flags.h"
 
 #include <charconv>
+#include <cstdio>
 
 namespace sss {
 
@@ -113,6 +114,16 @@ std::vector<std::string> FlagSet::UnreadFlags() const {
     if (!value.read) out.push_back(name);
   }
   return out;
+}
+
+bool RejectUnreadFlags(const FlagSet& flags, std::string_view program) {
+  const std::vector<std::string> unread = flags.UnreadFlags();
+  for (const std::string& name : unread) {
+    std::fprintf(stderr, "%.*s: unknown flag --%s\n",
+                 static_cast<int>(program.size()), program.data(),
+                 name.c_str());
+  }
+  return unread.empty();
 }
 
 }  // namespace sss

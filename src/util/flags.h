@@ -1,4 +1,4 @@
-// Minimal command-line flag parsing for the CLI tool and examples:
+// Minimal command-line flag parsing for the tools:
 // "--key value", "--key=value", and boolean "--switch" forms, plus
 // positional arguments. No registry, no statics — parse argv into a map and
 // query it.
@@ -57,5 +57,11 @@ class FlagSet {
   std::map<std::string, Value, std::less<>> flags_;
   std::vector<std::string> positional_;
 };
+
+/// \brief Prints "<program>: unknown flag --NAME" on stderr for every flag
+/// of `flags` that was parsed but never read, and returns true iff there was
+/// none. A tool calls it once it has read every flag it knows: a typo or a
+/// removed option then fails instead of running silently without it.
+bool RejectUnreadFlags(const FlagSet& flags, std::string_view program);
 
 }  // namespace sss

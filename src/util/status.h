@@ -22,7 +22,7 @@ enum class StatusCode : char {
   kNotImplemented = 5, // feature intentionally absent
   kCancelled = 6,      // cooperative cancellation
   kUnknownError = 7,
-  kCorruption = 8,     // stored data failed integrity checks
+  kCorruption = 8,     // a wire frame failed integrity checks
   kUnavailable = 9,    // service overloaded or shutting down; retryable
   kDeadlineExceeded = 10,  // transport-level time budget expired mid-exchange
   kFailedPrecondition = 11,  // operation invalid in the caller's current state

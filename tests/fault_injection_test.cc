@@ -22,7 +22,6 @@
 
 #include "core/engine_host.h"
 #include "core/searcher.h"
-#include "io/binary_format.h"
 #include "io/reader.h"
 #include "parallel/thread_pool.h"
 #include "server/client.h"
@@ -124,19 +123,6 @@ TEST_F(FaultInjectionTest, QueryReaderErrorSurfacesAsStatus) {
   auto queries = ReadQueryFile(path, 0);
   ASSERT_FALSE(queries.ok());
   EXPECT_TRUE(queries.status().IsIOError());
-}
-
-TEST_F(FaultInjectionTest, BinaryReadErrorSurfacesAsStatus) {
-  Dataset d("bin", AlphabetKind::kGeneric);
-  d.Add("hello");
-  ASSERT_TRUE(WriteBinaryDataset(Path("d.bin"), d).ok());
-  FailPoints::Instance().Fail("binary_format:read",
-                              Status::IOError("injected"));
-  auto loaded = ReadBinaryDataset(Path("d.bin"));
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_TRUE(loaded.status().IsIOError());
-  FailPoints::Instance().Disable("binary_format:read");
-  EXPECT_TRUE(ReadBinaryDataset(Path("d.bin")).ok());
 }
 
 // ---------------------------------------------------------------------------

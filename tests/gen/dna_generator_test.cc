@@ -3,8 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
-
-#include "util/bitpack.h"
+#include <string>
 
 namespace sss::gen {
 namespace {
@@ -32,7 +31,8 @@ TEST(DnaGeneratorTest, GenomeUsesOnlyBases) {
 TEST(DnaGeneratorTest, ReadsUseReadAlphabet) {
   DnaReadGenerator gen(SmallOptions(), 2);
   for (int i = 0; i < 500; ++i) {
-    EXPECT_TRUE(DnaCodec::IsValid(gen.Next()));
+    const std::string read = gen.Next();
+    EXPECT_EQ(read.find_first_not_of("ACGNT"), std::string::npos) << read;
   }
 }
 

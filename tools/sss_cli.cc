@@ -13,7 +13,10 @@
 //
 // Engines: scan | trie | ctrie | partition | auto
 //          | approx[:tables=N,bits=M]
-// Strategies: serial | tpq | pool | adaptive
+// Strategies: serial | tpq | pool | adaptive | sharded
+//
+// Each command reads every flag its usage lists before it does any work,
+// and exits 2 naming a flag it did not read (a typo or a removed option).
 #include <cstdio>
 #include <string>
 
@@ -111,9 +114,10 @@ Result<ExecutionStrategy> ParseStrategy(const std::string& name) {
   return Status::Invalid("unknown strategy '" + name + "'");
 }
 
-AlphabetKind AlphabetFromFlags(const FlagSet& flags) {
+Result<AlphabetKind> AlphabetFromFlags(const FlagSet& flags) {
   Result<bool> dna = flags.GetBool("dna", false);
-  return dna.ok() && *dna ? AlphabetKind::kDna : AlphabetKind::kGeneric;
+  if (!dna.ok()) return dna.status();
+  return *dna ? AlphabetKind::kDna : AlphabetKind::kGeneric;
 }
 
 int RunGenerate(const FlagSet& flags) {
@@ -124,6 +128,10 @@ int RunGenerate(const FlagSet& flags) {
       int64_t seed,
       flags.GetInt("seed", static_cast<int64_t>(Xoshiro256::kDefaultSeed)));
   SSS_ASSIGN_OR_RETURN_CLI(const std::string out, flags.GetString("out", ""));
+  SSS_ASSIGN_OR_RETURN_CLI(int64_t num_queries, flags.GetInt("queries", 0));
+  SSS_ASSIGN_OR_RETURN_CLI(const std::string queries_out,
+                           flags.GetString("queries-out", ""));
+  if (!RejectUnreadFlags(flags, "sss_cli generate")) return kExitUsage;
   if (out.empty()) {
     std::fprintf(stderr, "generate: --out is required\n");
     return kExitUsage;
@@ -155,10 +163,7 @@ int RunGenerate(const FlagSet& flags) {
   if (!st.ok()) return Fail(st);
   std::printf("wrote %zu strings to %s\n", dataset.size(), out.c_str());
 
-  SSS_ASSIGN_OR_RETURN_CLI(int64_t num_queries, flags.GetInt("queries", 0));
   if (num_queries > 0) {
-    SSS_ASSIGN_OR_RETURN_CLI(const std::string queries_out,
-                             flags.GetString("queries-out", ""));
     if (queries_out.empty()) {
       std::fprintf(stderr, "generate: --queries needs --queries-out\n");
       return kExitUsage;
@@ -181,42 +186,59 @@ int RunSearch(const FlagSet& flags) {
                            flags.GetString("data", ""));
   SSS_ASSIGN_OR_RETURN_CLI(const std::string query_path,
                            flags.GetString("queries", ""));
-  if (data_path.empty() || query_path.empty()) {
-    std::fprintf(stderr, "search: --data and --queries are required\n");
-    return kExitUsage;
-  }
   SSS_ASSIGN_OR_RETURN_CLI(int64_t default_k, flags.GetInt("default-k", 0));
   SSS_ASSIGN_OR_RETURN_CLI(int64_t deadline_ms,
                            flags.GetInt("deadline-ms", 0));
-  if (deadline_ms < 0) {
-    std::fprintf(stderr, "search: --deadline-ms must be >= 0\n");
-    return kExitUsage;
-  }
   ReaderLimits limits;
   if (const int rc = LimitsFromFlags(flags, &limits); rc >= 0) return rc;
-
-  auto dataset = ReadDatasetFile(data_path, "cli_data",
-                                 AlphabetFromFlags(flags), limits);
-  if (!dataset.ok()) return Fail(dataset.status());
-  auto queries =
-      ReadQueryFile(query_path, static_cast<int>(default_k), limits);
-  if (!queries.ok()) return Fail(queries.status());
-
-  // The full spec grammar — approx:tables=8,bits=16 included — parses here,
-  // so the CLI can drive any engine the server can (and a typo'd name gets
-  // the registry-enumerating diagnostic).
+  SSS_ASSIGN_OR_RETURN_CLI(const AlphabetKind alphabet,
+                           AlphabetFromFlags(flags));
   SSS_ASSIGN_OR_RETURN_CLI(const std::string engine_flag,
                            flags.GetString("engine", "scan"));
-  auto engine_spec = ParseEngineSpec(engine_flag);
-  if (!engine_spec.ok()) return Fail(engine_spec.status());
   SSS_ASSIGN_OR_RETURN_CLI(const std::string strategy_flag,
                            flags.GetString("strategy", "pool"));
-  auto strategy = ParseStrategy(strategy_flag);
-  if (!strategy.ok()) return Fail(strategy.status());
   SSS_ASSIGN_OR_RETURN_CLI(int64_t threads, flags.GetInt("threads", 0));
   SSS_ASSIGN_OR_RETURN_CLI(int64_t shard_size, flags.GetInt("shard-size", 0));
   SSS_ASSIGN_OR_RETURN_CLI(int64_t bucket_width,
                            flags.GetInt("bucket-width", 8));
+  SSS_ASSIGN_OR_RETURN_CLI(const std::string tier_flag,
+                           flags.GetString("kernel-tier", "auto"));
+  SSS_ASSIGN_OR_RETURN_CLI(const bool want_stats,
+                           flags.GetBool("stats", false));
+  SSS_ASSIGN_OR_RETURN_CLI(const bool want_stats_json,
+                           flags.GetBool("stats-json", false));
+  SSS_ASSIGN_OR_RETURN_CLI(const bool want_latency,
+                           flags.GetBool("latency", false));
+  SSS_ASSIGN_OR_RETURN_CLI(const std::string out, flags.GetString("out", ""));
+  if (!RejectUnreadFlags(flags, "sss_cli search")) return kExitUsage;
+
+  if (data_path.empty() || query_path.empty()) {
+    std::fprintf(stderr, "search: --data and --queries are required\n");
+    return kExitUsage;
+  }
+  if (deadline_ms < 0) {
+    std::fprintf(stderr, "search: --deadline-ms must be >= 0\n");
+    return kExitUsage;
+  }
+  // The full spec grammar — approx:tables=8,bits=16 included — parses here,
+  // so the CLI can drive any engine the server can (and a typo'd name gets
+  // the registry-enumerating diagnostic).
+  auto engine_spec = ParseEngineSpec(engine_flag);
+  if (!engine_spec.ok()) return Fail(engine_spec.status());
+  auto strategy = ParseStrategy(strategy_flag);
+  if (!strategy.ok()) return Fail(strategy.status());
+  const std::optional<KernelTierChoice> tier = ParseKernelTierChoice(tier_flag);
+  if (!tier.has_value()) {
+    std::fprintf(stderr,
+                 "search: --kernel-tier must be scalar|swar|avx2|auto\n");
+    return kExitUsage;
+  }
+
+  auto dataset = ReadDatasetFile(data_path, "cli_data", alphabet, limits);
+  if (!dataset.ok()) return Fail(dataset.status());
+  auto queries =
+      ReadQueryFile(query_path, static_cast<int>(default_k), limits);
+  if (!queries.ok()) return Fail(queries.status());
 
   Stopwatch build_timer;
   auto searcher =
@@ -231,19 +253,8 @@ int RunSearch(const FlagSet& flags) {
   exec.length_bucket_width =
       bucket_width > 0 ? static_cast<size_t>(bucket_width) : 8;
 
-  const bool want_stats = flags.Has("stats");
-  const bool want_stats_json = flags.Has("stats-json");
-
   SearchContext ctx;
   if (deadline_ms > 0) ctx.deadline = Deadline::AfterMillis(deadline_ms);
-  SSS_ASSIGN_OR_RETURN_CLI(const std::string tier_flag,
-                           flags.GetString("kernel-tier", "auto"));
-  const std::optional<KernelTierChoice> tier = ParseKernelTierChoice(tier_flag);
-  if (!tier.has_value()) {
-    std::fprintf(stderr,
-                 "search: --kernel-tier must be scalar|swar|avx2|auto\n");
-    return kExitUsage;
-  }
   ctx.kernel_tier = *tier;
   StatsSink sink;
   if (want_stats || want_stats_json) ctx.stats = &sink;
@@ -291,7 +302,7 @@ int RunSearch(const FlagSet& flags) {
   // batch above reports throughput, this reports the tail). Recorded in
   // nanoseconds — integer microseconds would floor sub-µs queries to 0 —
   // and scaled to µs only for display.
-  if (flags.Has("latency")) {
+  if (want_latency) {
     LatencyHistogram histogram;
     for (const Query& q : *queries) {
       Stopwatch t;
@@ -303,7 +314,6 @@ int RunSearch(const FlagSet& flags) {
                 histogram.ScaledSummary(1e3, "us").c_str());
   }
 
-  SSS_ASSIGN_OR_RETURN_CLI(const std::string out, flags.GetString("out", ""));
   if (!out.empty()) {
     Status st = WriteResultFile(out, results);
     if (!st.ok()) return Fail(st);
@@ -322,15 +332,18 @@ int RunSearch(const FlagSet& flags) {
 int RunJoin(const FlagSet& flags) {
   SSS_ASSIGN_OR_RETURN_CLI(const std::string data_path,
                            flags.GetString("data", ""));
+  SSS_ASSIGN_OR_RETURN_CLI(int64_t k, flags.GetInt("k", 1));
+  SSS_ASSIGN_OR_RETURN_CLI(int64_t threads, flags.GetInt("threads", 0));
+  SSS_ASSIGN_OR_RETURN_CLI(const AlphabetKind alphabet,
+                           AlphabetFromFlags(flags));
+  SSS_ASSIGN_OR_RETURN_CLI(const std::string out, flags.GetString("out", ""));
+  if (!RejectUnreadFlags(flags, "sss_cli join")) return kExitUsage;
   if (data_path.empty()) {
     std::fprintf(stderr, "join: --data is required\n");
     return kExitUsage;
   }
-  SSS_ASSIGN_OR_RETURN_CLI(int64_t k, flags.GetInt("k", 1));
-  SSS_ASSIGN_OR_RETURN_CLI(int64_t threads, flags.GetInt("threads", 0));
 
-  auto dataset = ReadDatasetFile(data_path, "cli_data",
-                                 AlphabetFromFlags(flags));
+  auto dataset = ReadDatasetFile(data_path, "cli_data", alphabet);
   if (!dataset.ok()) return Fail(dataset.status());
 
   JoinOptions options;
@@ -343,7 +356,6 @@ int RunJoin(const FlagSet& flags) {
               static_cast<long long>(k), pairs.size(),
               timer.ElapsedSeconds());
 
-  SSS_ASSIGN_OR_RETURN_CLI(const std::string out, flags.GetString("out", ""));
   if (!out.empty()) {
     std::FILE* f = std::fopen(out.c_str(), "wb");
     if (f == nullptr) return Fail(Status::IOError("cannot open " + out));
@@ -357,14 +369,16 @@ int RunJoin(const FlagSet& flags) {
 int RunStats(const FlagSet& flags) {
   SSS_ASSIGN_OR_RETURN_CLI(const std::string data_path,
                            flags.GetString("data", ""));
+  ReaderLimits limits;
+  if (const int rc = LimitsFromFlags(flags, &limits); rc >= 0) return rc;
+  SSS_ASSIGN_OR_RETURN_CLI(const AlphabetKind alphabet,
+                           AlphabetFromFlags(flags));
+  if (!RejectUnreadFlags(flags, "sss_cli stats")) return kExitUsage;
   if (data_path.empty()) {
     std::fprintf(stderr, "stats: --data is required\n");
     return kExitUsage;
   }
-  ReaderLimits limits;
-  if (const int rc = LimitsFromFlags(flags, &limits); rc >= 0) return rc;
-  auto dataset = ReadDatasetFile(data_path, "cli_data",
-                                 AlphabetFromFlags(flags), limits);
+  auto dataset = ReadDatasetFile(data_path, "cli_data", alphabet, limits);
   if (!dataset.ok()) return Fail(dataset.status());
   const DatasetStats stats = dataset->ComputeStats();
   std::printf(

@@ -404,6 +404,7 @@ int Run(const FlagSet& flags) {
     }
     mixed = &mixed_storage;
   }
+  if (!RejectUnreadFlags(flags, "sss_loadgen")) return kExitUsage;
 
   auto queries =
       ReadQueryFile(query_path, static_cast<int>(*default_k));

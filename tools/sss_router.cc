@@ -76,16 +76,6 @@ int Usage() {
   return kExitUsage;
 }
 
-// A flag no option reads is a typo or a removed option: refuse to start
-// rather than silently route without it.
-bool RejectUnreadFlags(const FlagSet& flags) {
-  const std::vector<std::string> unread = flags.UnreadFlags();
-  for (const std::string& name : unread) {
-    std::fprintf(stderr, "sss_router: unknown flag --%s\n", name.c_str());
-  }
-  return unread.empty();
-}
-
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   if (status.IsUnavailable()) return kExitUnavailable;
@@ -249,7 +239,7 @@ int Run(const FlagSet& flags) {
   if (!fp.ok()) return Fail(fp);
   Result<bool> stats_json = flags.GetBool("stats-json", false);
   if (!stats_json.ok()) return Fail(stats_json.status());
-  if (!RejectUnreadFlags(flags)) return kExitUsage;
+  if (!RejectUnreadFlags(flags, "sss_router")) return kExitUsage;
 
   StatsSink sink;
   router_options.stats = &sink;

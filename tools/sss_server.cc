@@ -90,16 +90,6 @@ int Usage() {
   return kExitUsage;
 }
 
-// A flag no option reads is a typo or a removed option: refuse to start
-// rather than silently serve without it.
-bool RejectUnreadFlags(const FlagSet& flags) {
-  const std::vector<std::string> unread = flags.UnreadFlags();
-  for (const std::string& name : unread) {
-    std::fprintf(stderr, "sss_server: unknown flag --%s\n", name.c_str());
-  }
-  return unread.empty();
-}
-
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   if (status.IsIOError()) return kExitIOError;
@@ -284,7 +274,7 @@ int Run(const FlagSet& flags) {
   if (!stats_json.ok()) return Fail(stats_json.status());
   Result<std::string> engine_list = flags.GetString("engine", "scan");
   if (!engine_list.ok()) return Fail(engine_list.status());
-  if (!RejectUnreadFlags(flags)) return kExitUsage;
+  if (!RejectUnreadFlags(flags, "sss_server")) return kExitUsage;
 
   std::vector<EngineSpec> specs;
   for (const std::string& name : SplitCommas(*engine_list)) {
