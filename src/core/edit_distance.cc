@@ -310,91 +310,6 @@ int BoundedMyers(std::string_view x, std::string_view y, int k,
   return score <= k ? score : k + 1;
 }
 
-int OsaDistance(std::string_view x, std::string_view y) {
-  const size_t lx = x.size();
-  const size_t ly = y.size();
-  // Three rolling rows: the transposition case reads two rows back.
-  std::vector<int> r0(ly + 1), r1(ly + 1), r2(ly + 1);
-  int* prev2 = r0.data();
-  int* prev = r1.data();
-  int* cur = r2.data();
-  for (size_t j = 0; j <= ly; ++j) prev[j] = static_cast<int>(j);
-  for (size_t i = 1; i <= lx; ++i) {
-    cur[0] = static_cast<int>(i);
-    for (size_t j = 1; j <= ly; ++j) {
-      int v = x[i - 1] == y[j - 1]
-                  ? prev[j - 1]
-                  : 1 + Min3(prev[j], cur[j - 1], prev[j - 1]);
-      if (i > 1 && j > 1 && x[i - 1] == y[j - 2] && x[i - 2] == y[j - 1]) {
-        v = std::min(v, prev2[j - 2] + 1);  // adjacent transposition
-      }
-      cur[j] = v;
-    }
-    int* tmp = prev2;
-    prev2 = prev;
-    prev = cur;
-    cur = tmp;
-  }
-  return prev[ly];
-}
-
-int BoundedOsa(std::string_view x, std::string_view y, int k,
-               EditDistanceWorkspace* ws) {
-  SSS_DCHECK(k >= 0);
-  // The length filter still holds: every operation (including
-  // transposition, which preserves length) changes |l_x − l_y| by ≤ 1.
-  const size_t diff =
-      x.size() > y.size() ? x.size() - y.size() : y.size() - x.size();
-  if (diff > static_cast<size_t>(k)) return k + 1;
-  if (k == 0) return x == y ? 0 : 1;
-  if (x.size() < y.size()) std::swap(x, y);
-  const int lx = static_cast<int>(x.size());
-  const int ly = static_cast<int>(y.size());
-  if (ly == 0) return lx;
-  const int inf = k + 1;
-
-  // Banded variant of OsaDistance (cells off the |i−j| ≤ k band are > k,
-  // as for plain Levenshtein: transpositions cost 1 like everything else).
-  ws->row0.assign(static_cast<size_t>(ly) + 1, inf);
-  ws->row1.assign(static_cast<size_t>(ly) + 1, inf);
-  thread_local std::vector<int> row2_storage;
-  row2_storage.assign(static_cast<size_t>(ly) + 1, inf);
-  int* prev2 = row2_storage.data();
-  int* prev = ws->row0.data();
-  int* cur = ws->row1.data();
-  for (int j = 0; j <= std::min(ly, k); ++j) prev[j] = j;
-
-  for (int i = 1; i <= lx; ++i) {
-    const int jlo = std::max(1, i - k);
-    const int jhi = std::min(ly, i + k);
-    if (jlo > jhi) return inf;
-    cur[jlo - 1] = (i - (jlo - 1)) <= k && jlo - 1 == 0 ? i : inf;
-    int band_min = inf;
-    for (int j = jlo; j <= jhi; ++j) {
-      int v;
-      if (x[i - 1] == y[j - 1]) {
-        v = prev[j - 1];
-      } else {
-        v = 1 + Min3(prev[j], cur[j - 1], prev[j - 1]);
-      }
-      if (i > 1 && j > 1 && x[i - 1] == y[j - 2] && x[i - 2] == y[j - 1]) {
-        const int t = prev2[j - 2] + 1;
-        if (t < v) v = t;
-      }
-      if (v > inf) v = inf;
-      cur[j] = v;
-      if (v < band_min) band_min = v;
-    }
-    if (band_min > k) return inf;
-    if (jhi + 1 <= ly) cur[jhi + 1] = inf;
-    int* tmp = prev2;
-    prev2 = prev;
-    prev = cur;
-    cur = tmp;
-  }
-  return prev[ly] <= k ? prev[ly] : inf;
-}
-
 bool WithinDistance(std::string_view x, std::string_view y, int k,
                     EditDistanceWorkspace* ws) {
   if (AbsLenDiff(x, y) > k) return false;

@@ -80,17 +80,4 @@ int MyersEditDistanceBlocked(std::string_view x, std::string_view y,
 int BoundedMyers(std::string_view x, std::string_view y, int k,
                  EditDistanceWorkspace* ws);
 
-/// \brief Optimal string alignment (restricted Damerau–Levenshtein)
-/// distance: insert/delete/replace plus adjacent transposition, each cost
-/// 1, with no substring edited twice. The measure spell checkers usually
-/// want ("hte" is one typo away from "the", not two). Not a metric in the
-/// strict sense (triangle inequality can fail); offered as a standalone
-/// kernel, not in the exact threshold engines. Only its tests call it.
-int OsaDistance(std::string_view x, std::string_view y);
-
-/// \brief Bounded OSA distance: exact when ≤ k, any value > k otherwise.
-/// Applies the length filter and a band of width 2k+1.
-int BoundedOsa(std::string_view x, std::string_view y, int k,
-               EditDistanceWorkspace* ws);
-
 }  // namespace sss

@@ -182,17 +182,26 @@ Status EngineHost::Load(SnapshotHandle snapshot, const SearchContext& ctx) {
   const uint64_t build_micros =
       static_cast<uint64_t>(build_timer.ElapsedNanos() / 1000);
   counters_.last_build_micros.store(build_micros, std::memory_order_relaxed);
+  if (options_.stats != nullptr) {
+    SearchStats delta;
+    delta.host_reloads_failed = built.ok() ? 0 : 1;
+    delta.host_reload_build_micros = build_micros;
+    options_.stats->Record(delta);
+  }
   if (!built.ok()) {
     counters_.reloads_failed.fetch_add(1, std::memory_order_relaxed);
-    if (options_.stats != nullptr) {
-      SearchStats delta;
-      delta.host_reloads_failed = 1;
-      delta.host_reload_build_micros = build_micros;
-      options_.stats->Record(delta);
-    }
     return built;
   }
 
+  SSS_RETURN_NOT_OK(Publish(std::move(set)));
+  if (!snapshot->source_path().empty()) {
+    source_path_ = snapshot->source_path();
+  }
+  return Status::OK();
+}
+
+Status EngineHost::Publish(std::shared_ptr<EngineSet> set) {
+  if (set == nullptr) return Status::Invalid("EngineHost: null engine set");
   SSS_FAILPOINT("engine_host:publish");
   // The retired generation leaves the critical section alive and is torn
   // down only after the swap: destruction of a full engine set (tries,
@@ -211,13 +220,9 @@ Status EngineHost::Load(SnapshotHandle snapshot, const SearchContext& ctx) {
       std::memory_order_relaxed);
   retired.reset();
   counters_.reloads_ok.fetch_add(1, std::memory_order_relaxed);
-  if (!snapshot->source_path().empty()) {
-    source_path_ = snapshot->source_path();
-  }
   if (options_.stats != nullptr) {
     SearchStats delta;
     delta.host_reloads_ok = 1;
-    delta.host_reload_build_micros = build_micros;
     options_.stats->Record(delta);
   }
   return Status::OK();

@@ -142,14 +142,15 @@ struct EngineHostCounters {
   /// Wall time building the last attempted engine set (µs).
   std::atomic<uint64_t> last_build_micros{0};
   /// Wall time of the last publish swap itself (ns) — the window competing
-  /// Acquire() calls can even observe. The reload acceptance bar
-  /// (BENCH_reload.json) requires this < 1 ms.
+  /// Acquire() calls can even observe. The reload acceptance bar requires
+  /// this < 1 ms (engine_host_test asserts it on the median publish).
   std::atomic<uint64_t> last_publish_nanos{0};
 };
 
 /// \brief Builds and atomically publishes engine generations. Thread-safe:
 /// Acquire()/generation() from any thread, Load/LoadFile/Reload serialized
-/// by rejection (not queueing).
+/// by rejection (not queueing). The host is the serving layer's only source
+/// of engines.
 class EngineHost {
  public:
   /// `specs` lists the engines every generation builds; the first is the
@@ -158,11 +159,19 @@ class EngineHost {
                       EngineHostOptions options = {});
   SSS_DISALLOW_COPY_AND_ASSIGN(EngineHost);
 
-  /// \brief Builds every spec'd engine over `snapshot` and publishes the set.
-  /// `ctx` is polled between engine builds: a cancelled/over-deadline build
-  /// returns kCancelled and publishes nothing. On any failure the previous
-  /// generation (if one exists) keeps serving.
+  /// \brief Builds every spec'd engine over `snapshot` and publishes the set
+  /// (BuildSet, then Publish). `ctx` is polled between engine builds: a
+  /// cancelled/over-deadline build returns kCancelled and publishes nothing.
+  /// On any failure the previous generation (if one exists) keeps serving.
   Status Load(SnapshotHandle snapshot, const SearchContext& ctx = {});
+
+  /// \brief Makes `set` the current generation with one pointer swap and
+  /// counts it in reloads_ok / last_publish_nanos / host_reloads_ok — the
+  /// only way a generation goes live. Load calls it under its reload lock;
+  /// a caller holding a ready-made set (a test serving wrapper engines it
+  /// borrows through `by_id`) takes the same path but orders its own
+  /// publishes against concurrent loads. kInvalid on a null set.
+  Status Publish(std::shared_ptr<EngineSet> set);
 
   /// \brief Reads `path` (options.alphabet), wraps it in a new owned
   /// snapshot, and Load()s it. The path is remembered for Reload().

@@ -429,20 +429,6 @@ std::string ToString(ExecutionStrategy strategy) {
   return "?";
 }
 
-ExecutionOptions BatchDispatchOptions(size_t window_size,
-                                      size_t parallel_threshold,
-                                      ExecutionStrategy parallel_strategy,
-                                      size_t num_threads) {
-  ExecutionOptions exec;
-  if (parallel_threshold == 0 || window_size < parallel_threshold) {
-    exec.strategy = ExecutionStrategy::kSerial;
-    return exec;
-  }
-  exec.strategy = parallel_strategy;
-  exec.num_threads = num_threads > 0 ? num_threads : window_size;
-  return exec;
-}
-
 Result<std::unique_ptr<Searcher>> MakeSearcher(EngineKind kind,
                                                SnapshotHandle snapshot) {
   if (snapshot == nullptr) {

@@ -57,20 +57,6 @@ struct ExecutionOptions {
   ShardedExecutor* executor = nullptr;
 };
 
-/// \brief Execution parameters for a batch that arrived as one pipelined
-/// window on the serving path: pick the strategy by window size. Below
-/// `parallel_threshold` the window runs serially (parallel setup costs more
-/// than it buys on one or two queries; 0 = always serial); at or above it,
-/// `parallel_strategy`
-/// runs with `num_threads` workers — 0 meaning one worker per query in the
-/// window, which guarantees every query gets its own execution lane even
-/// when individual searches block (the reactor's pipelining contract:
-/// requests in one window make progress concurrently, not in file order).
-ExecutionOptions BatchDispatchOptions(size_t window_size,
-                                      size_t parallel_threshold,
-                                      ExecutionStrategy parallel_strategy,
-                                      size_t num_threads);
-
 /// \brief The outcome of a cancellable batch: graceful degradation instead
 /// of all-or-nothing. Queries the batch finished carry their full answers
 /// and an OK status; queries cut off by the deadline/token have kCancelled

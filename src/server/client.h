@@ -1,6 +1,7 @@
 // Blocking client for the sss serving layer: one TCP connection, used by
-// sss_loadgen (one client per worker thread), the router's shard channels,
-// the loopback bench, and the server tests. Two modes:
+// sss_loadgen (one client per worker thread), perfbench's driver, the
+// router's shard channels (CallOnFreshConnection), and the server tests.
+// Two modes:
 //
 //   * Call(): one request/response exchange at a time — the historical
 //     lock-step mode.
@@ -93,7 +94,10 @@ class Client {
   Status Reload(std::string_view path, Response* out);
 
   /// \brief Admin: read the server's current generation id into
-  /// out->generation (0 = the server serves no versioned generation).
+  /// out->generation. A host server answers with its published generation
+  /// (0 only before its first publish); a handler server (sss_router)
+  /// answers with whatever its handler returns — the router rejects admin
+  /// frames with kInvalid and generation 0.
   Status GetGeneration(Response* out);
 
   /// \brief Pipelined mode: writes `request` without waiting for its

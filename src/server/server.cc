@@ -38,18 +38,6 @@ size_t ResolveWorkerCount(size_t configured) {
 
 }  // namespace
 
-Status Server::RegisterEngine(uint8_t engine_id, const Searcher* searcher) {
-  if (searcher == nullptr) {
-    return Status::Invalid("RegisterEngine: null searcher");
-  }
-  if (started_.load(std::memory_order_acquire)) {
-    return Status::Invalid("RegisterEngine: server already started");
-  }
-  engines_[engine_id] = searcher;
-  if (default_engine_ == nullptr) default_engine_ = searcher;
-  return Status::OK();
-}
-
 Status Server::RegisterHost(EngineHost* host) {
   if (host == nullptr) return Status::Invalid("RegisterHost: null host");
   if (started_.load(std::memory_order_acquire)) {
@@ -88,8 +76,8 @@ Status Server::Reload(const std::string& path) {
 
 Status Server::Start() {
   if (running()) return Status::Invalid("Start: already running");
-  if (default_engine_ == nullptr && host_ == nullptr && !handler_) {
-    return Status::Invalid("Start: no engine registered");
+  if (host_ == nullptr && !handler_) {
+    return Status::Invalid("Start: no host or handler registered");
   }
   started_.store(true, std::memory_order_release);
   SSS_ASSIGN_OR_RETURN(poller_, net::Poller::Create());
@@ -663,12 +651,6 @@ void Server::AdminLoop() {
 Response Server::HandleAdmin(const Request& request) {
   Response response;
   response.request_id = request.request_id;
-  if (host_ == nullptr) {
-    response.code = StatusCode::kInvalid;
-    response.message = "admin frame: no EngineHost registered";
-    counters_.requests_rejected.fetch_add(1, std::memory_order_relaxed);
-    return response;
-  }
   switch (request.k) {
     case kAdminOpReload: {
       const Status st = Reload(request.query);
@@ -723,18 +705,15 @@ void Server::RunWindowBatch(const Task& task, ShardedExecutor* executor) {
 
   // One generation pin for the whole window: a window racing a reload
   // answers wholly from one side of the swap.
-  EngineSetHandle pinned;
-  if (host_ != nullptr) {
-    pinned = host_->Acquire();
-    if (pinned == nullptr) {
-      for (const Request& request : window) {
-        Response response;
-        response.code = StatusCode::kUnavailable;
-        response.message = "no engine generation published yet";
-        finish(request, std::move(response));
-      }
-      return;
+  const EngineSetHandle pinned = host_->Acquire();
+  if (pinned == nullptr) {
+    for (const Request& request : window) {
+      Response response;
+      response.code = StatusCode::kUnavailable;
+      response.message = "no engine generation published yet";
+      finish(request, std::move(response));
     }
+    return;
   }
 
   // Resolve engines and group the window by engine, preserving window
@@ -743,34 +722,22 @@ void Server::RunWindowBatch(const Task& task, ShardedExecutor* executor) {
   // the overwhelmingly common case).
   struct Group {
     const Searcher* engine = nullptr;
-    uint64_t generation = 0;
     std::vector<size_t> indices;  // into `window`
   };
   std::vector<Group> groups;
   for (size_t i = 0; i < n; ++i) {
     const Request& request = window[i];
-    const Searcher* engine = nullptr;
-    uint64_t generation = 0;
-    if (pinned != nullptr) {
-      generation = pinned->generation;
-      engine = request.engine == kAnyEngine ? pinned->default_engine
-                                            : pinned->Find(request.engine);
-    } else {
-      engine = request.engine == kAnyEngine ? default_engine_
-                                            : engines_[request.engine];
-    }
+    const Searcher* engine = request.engine == kAnyEngine
+                                 ? pinned->default_engine
+                                 : pinned->Find(request.engine);
     if (engine == nullptr) {
       Response response;
-      response.generation = generation;  // pinned host generation, if any
+      response.generation = pinned->generation;
       response.code = StatusCode::kInvalid;
       response.message =
           "no engine registered under id " + std::to_string(request.engine);
       finish(request, std::move(response));
       continue;
-    }
-    if (pinned == nullptr) {
-      const SnapshotHandle snapshot = engine->SearchedSnapshot();
-      if (snapshot != nullptr) generation = snapshot->version();
     }
     Group* group = nullptr;
     for (Group& g : groups) {
@@ -783,7 +750,6 @@ void Server::RunWindowBatch(const Task& task, ShardedExecutor* executor) {
       groups.emplace_back();
       group = &groups.back();
       group->engine = engine;
-      group->generation = generation;
     }
     group->indices.push_back(i);
   }
@@ -806,19 +772,23 @@ void Server::RunWindowBatch(const Task& task, ShardedExecutor* executor) {
     // it is byte-identical to scalar by the kernel-equivalence contract.
     ctx.kernel_tier = KernelTierChoice::kAuto;
 
-    ExecutionOptions exec = BatchDispatchOptions(
-        queries.size(), options_.batch_parallel_threshold,
-        options_.batch_strategy, options_.batch_threads);
-    // The worker's parked pool carries the lanes across windows; without it
-    // every window would pay a fresh spawn per lane, which at smoke-bench
-    // corpus sizes costs more than the whole search.
+    // A lone query runs serially on this worker; a larger group runs
+    // kSharded with one lane per query, so a blocked search never holds up
+    // the rest of its window. The worker's parked pool carries the lanes
+    // across windows; without it every window would pay a fresh spawn per
+    // lane, which on small corpora costs more than the whole search.
+    ExecutionOptions exec;
+    if (queries.size() >= 2) {
+      exec.strategy = ExecutionStrategy::kSharded;
+      exec.num_threads = queries.size();
+    }
     exec.executor = executor;
     BatchResult result = group.engine->SearchBatch(queries, exec, ctx);
 
     for (size_t j = 0; j < group.indices.size(); ++j) {
       const size_t i = group.indices[j];
       Response response;
-      response.generation = group.generation;
+      response.generation = pinned->generation;
       const Status& st = result.statuses[j];
       if (st.ok()) {
         response.matches = std::move(result.matches[j]);

@@ -1,6 +1,7 @@
 // The sss serving layer: a TCP front-end that answers protocol.h request
-// frames using the in-process engines. Design points, in the order they
-// matter for correctness:
+// frames from one of two backends — an EngineHost (the in-process engines,
+// one published generation at a time) or a RequestHandler (sss_router's
+// scatter-gather). Design points, in the order they matter for correctness:
 //
 //   * Epoll reactor + worker pool: one reactor thread owns the listener and
 //     every connection (non-blocking sockets, level-triggered readiness via
@@ -21,12 +22,13 @@
 //     Searcher::SearchBatch: one corpus pass amortized over the window,
 //     under one SearchContext whose deadline is the tightest per-request
 //     deadline, whose kernel tier is kAuto (the lane verify tier, byte-
-//     identical to scalar), and whose strategy is picked by window size
-//     (serial below batch_parallel_threshold, batch_strategy at/above it,
-//     one execution lane per query by default so blocked searches never
-//     serialize the window). So a query's kernel never depends on how the
-//     TCP stream was split. Windows pin one engine generation, so a
-//     window racing a reload answers wholly from one side of the swap.
+//     identical to scalar), and whose strategy is picked by window size:
+//     a window of one runs serially on the claiming worker, a larger one
+//     runs kSharded with one execution lane per query, so blocked searches
+//     never serialize the window. So a query's kernel never depends on how the
+//     TCP stream was split. Each window pins one EngineHost generation and
+//     resolves its engines only there, so a window racing a reload answers
+//     wholly from one side of the swap.
 //     Per-request statuses come back from the BatchResult and map to
 //     per-id response frames; admission, byte accounting, and counters
 //     stay per-request. Each search worker owns one persistent
@@ -110,19 +112,6 @@ struct ServerOptions {
   /// Reclaim a connection whose partial frame has been pending this long
   /// (0 = never). Connections idle between frames are exempt.
   uint32_t idle_timeout_ms = 30000;
-  /// The admitted search frames one reactor drain decodes from a
-  /// connection run as one Searcher::SearchBatch window (see the header
-  /// comment). Windows at or above this size run `batch_strategy`; smaller
-  /// windows, a lone request included, run serially on the claiming worker
-  /// (see BatchDispatchOptions). Ignored on handler servers.
-  size_t batch_parallel_threshold = 2;
-  /// Execution strategy for parallel windows. kSharded routes the window
-  /// through BatchPlanner grouping and the lane-capable verify tier.
-  ExecutionStrategy batch_strategy = ExecutionStrategy::kSharded;
-  /// Worker count for parallel windows. 0 = one lane per query in the
-  /// window, which keeps the pipelining contract for blocking engines:
-  /// every request in a window makes progress concurrently.
-  size_t batch_threads = 0;
   ProtocolLimits limits;
   /// Optional sink: engine SearchStats flow through each request's
   /// SearchContext, server_* counters are recorded per request. Borrowed;
@@ -154,29 +143,17 @@ class Server {
 
   SSS_DISALLOW_COPY_AND_ASSIGN(Server);
 
-  /// \brief Registers `searcher` (borrowed) under `engine_id` —
-  /// conventionally uint8_t(EngineKind). The first registered engine also
-  /// answers kAnyEngine requests.
-  ///
-  /// Lifetime rules, enforced and assumed in that order:
-  ///   * must be called before the first Start() — worker threads read the
-  ///     engine table without locks, so it is immutable once the server has
-  ///     ever run (registration after Start() returns kInvalid, even once
-  ///     the server is stopped again);
-  ///   * `searcher` — and the collection snapshot it pins via
-  ///     SearchedSnapshot() — must outlive the server. Statically registered
-  ///     engines never change generation; for a collection that can be
-  ///     republished at runtime, register an EngineHost instead, whose
-  ///     Acquire() pins a snapshot per request.
-  Status RegisterEngine(uint8_t engine_id, const Searcher* searcher);
-
   /// \brief Registers `host` (borrowed; must outlive the server) as the
-  /// source of engines. Each request pins the host's current EngineSet for
-  /// its whole search, so a concurrent Reload never invalidates in-flight
-  /// work — old generations drain, new requests see the new set. A host
-  /// takes precedence over statically registered engines and answers both
-  /// engine dispatch and kAdmin frames. Same before-first-Start() rule as
-  /// RegisterEngine.
+  /// source of engines: requests address the current EngineSet's engines by
+  /// wire id (kAnyEngine = its default engine). Each window pins the host's
+  /// current set for its whole search, so a concurrent Reload never
+  /// invalidates in-flight work — old generations drain, new requests see
+  /// the new set. The host answers both engine dispatch and kAdmin frames.
+  ///
+  /// Must be called before the first Start(): worker threads read the
+  /// backend without locks, so it is frozen once the server has ever run
+  /// (registration after Start() returns kInvalid, even once the server is
+  /// stopped again).
   Status RegisterHost(EngineHost* host);
 
   /// \brief Answer function for one decoded request frame. Must be
@@ -185,14 +162,14 @@ class Server {
   /// out.
   using RequestHandler = std::function<Response(const Request&)>;
 
-  /// \brief Registers `handler` as the source of answers instead of an
-  /// engine table or host — the front-end half of the server (reactor,
-  /// bounded admission, drain, counters, byte accounting) wrapped around an
-  /// arbitrary backend. This is how sss_router reuses the serving machinery
-  /// with a scatter-gather Router behind it. A handler takes precedence
-  /// over registered engines/hosts; admin frames are forwarded to it
-  /// verbatim (without an admission slot, like the built-in path). Same
-  /// before-first-Start() rule as RegisterEngine.
+  /// \brief Registers `handler` as the source of answers instead of a
+  /// host — the front-end half of the server (reactor, bounded admission,
+  /// drain, counters, byte accounting) wrapped around an arbitrary backend.
+  /// This is how sss_router reuses the serving machinery with a
+  /// scatter-gather Router behind it. A handler takes precedence over a
+  /// registered host; admin frames are forwarded to it verbatim (without an
+  /// admission slot, like the built-in path). Same before-first-Start() rule
+  /// as RegisterHost.
   Status RegisterHandler(RequestHandler handler);
 
   /// \brief Publishes a fresh generation via the registered host: from
@@ -305,7 +282,7 @@ class Server {
   // --- worker threads ---
   void WorkerLoop();
   void AdminLoop();
-  /// One window as a single SearchBatch: one generation pin,
+  /// One window as a single SearchBatch: one host generation pin,
   /// engine-grouped QuerySets, strategy by window size, per-request
   /// statuses mapped back to per-id completions. `executor` is the calling
   /// worker's persistent batch pool (never null), injected into kSharded
@@ -326,8 +303,6 @@ class Server {
                   SearchStats* delta);
 
   ServerOptions options_;
-  const Searcher* engines_[256] = {};
-  const Searcher* default_engine_ = nullptr;
   EngineHost* host_ = nullptr;
   RequestHandler handler_;
 
@@ -336,9 +311,9 @@ class Server {
   net::Poller poller_;
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
-  /// Latches true at the first Start() and never resets: the engine table
-  /// and host pointer are read lock-free by worker threads, so they are
-  /// frozen from that point on (even across Stop()/Start() cycles).
+  /// Latches true at the first Start() and never resets: the host pointer
+  /// and handler are read lock-free by worker threads, so they are frozen
+  /// from that point on (even across Stop()/Start() cycles).
   std::atomic<bool> started_{false};
 
   // Reactor-thread state (no locks: only ReactorLoop and its helpers).

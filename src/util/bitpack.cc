@@ -2,51 +2,6 @@
 
 namespace sss {
 
-namespace {
-
-// Packs s into `out` (appending), returning false on an invalid symbol.
-bool PackInto(std::string_view s, std::vector<uint64_t>* out) {
-  uint64_t word = 0;
-  unsigned filled = 0;
-  for (char c : s) {
-    const uint8_t code = DnaCodec::Encode(c);
-    if (code == DnaCodec::kInvalidCode) return false;
-    word |= static_cast<uint64_t>(code)
-            << (filled * DnaCodec::kBitsPerSymbol);
-    if (++filled == PackedDna::kSymbolsPerWord) {
-      out->push_back(word);
-      word = 0;
-      filled = 0;
-    }
-  }
-  if (filled > 0) out->push_back(word);
-  return true;
-}
-
-size_t WordsFor(size_t symbols) {
-  return (symbols + PackedDna::kSymbolsPerWord - 1) /
-         PackedDna::kSymbolsPerWord;
-}
-
-}  // namespace
-
-Result<PackedDna> PackedDna::Pack(std::string_view s) {
-  PackedDna packed;
-  packed.words_.reserve(WordsFor(s.size()));
-  if (!PackInto(s, &packed.words_)) {
-    return Status::Invalid("PackedDna::Pack: symbol outside {A,C,G,N,T}");
-  }
-  packed.size_ = s.size();
-  return packed;
-}
-
-std::string PackedDna::Unpack() const {
-  std::string out;
-  out.reserve(size_);
-  for (size_t i = 0; i < size_; ++i) out.push_back(At(i));
-  return out;
-}
-
 Status PackDna2Into(std::string_view s, std::vector<uint8_t>* out) {
   const size_t before = out->size();
   uint8_t byte = 0;
@@ -79,42 +34,6 @@ std::string UnpackDna2(const uint8_t* packed, size_t n) {
                              0x3u)));
   }
   return out;
-}
-
-Result<uint32_t> PackedDnaPool::Add(std::string_view s) {
-  const size_t before = words_.size();
-  if (!PackInto(s, &words_)) {
-    words_.resize(before);  // roll back a partial append
-    return Status::Invalid("PackedDnaPool::Add: symbol outside {A,C,G,N,T}");
-  }
-  word_offsets_.push_back(before);
-  lengths_.push_back(static_cast<uint32_t>(s.size()));
-  total_symbols_ += s.size();
-  return static_cast<uint32_t>(lengths_.size() - 1);
-}
-
-std::string PackedDnaPool::Unpack(size_t id) const {
-  std::string out;
-  const size_t len = lengths_[id];
-  out.reserve(len);
-  for (size_t i = 0; i < len; ++i) {
-    out.push_back(DnaCodec::Decode(CodeAt(id, i)));
-  }
-  return out;
-}
-
-void PackedDnaPool::DecodeCodes(size_t id, std::vector<uint8_t>* out) const {
-  const size_t len = lengths_[id];
-  out->resize(len);
-  const uint64_t base = word_offsets_[id];
-  size_t i = 0;
-  for (size_t w = base; i < len; ++w) {
-    uint64_t word = words_[w];
-    for (unsigned k = 0; k < PackedDna::kSymbolsPerWord && i < len; ++k) {
-      (*out)[i++] = static_cast<uint8_t>(word & 0x7u);
-      word >>= DnaCodec::kBitsPerSymbol;
-    }
-  }
 }
 
 }  // namespace sss

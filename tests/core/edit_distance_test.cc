@@ -251,63 +251,6 @@ TEST(EditDistanceTest, WorkspaceReuseAcrossMixedCalls) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// OSA (restricted Damerau–Levenshtein)
-// ---------------------------------------------------------------------------
-
-TEST(OsaDistanceTest, TranspositionCostsOne) {
-  EXPECT_EQ(OsaDistance("the", "hte"), 1);   // Levenshtein would say 2
-  EXPECT_EQ(OsaDistance("ab", "ba"), 1);
-  EXPECT_EQ(OsaDistance("abcd", "acbd"), 1);
-  EXPECT_EQ(OsaDistance("ca", "abc"), 3);    // OSA's classic non-Damerau case
-}
-
-TEST(OsaDistanceTest, ReducesToLevenshteinWithoutTranspositions) {
-  EXPECT_EQ(OsaDistance("kitten", "sitting"), 3);
-  EXPECT_EQ(OsaDistance("", "abc"), 3);
-  EXPECT_EQ(OsaDistance("same", "same"), 0);
-}
-
-TEST(OsaDistanceTest, NeverExceedsLevenshtein) {
-  Xoshiro256 rng(0x05A);
-  for (int t = 0; t < 300; ++t) {
-    const std::string x = RandomString(&rng, "abc", 0, 20);
-    const std::string y = RandomString(&rng, "abc", 0, 20);
-    EXPECT_LE(OsaDistance(x, y), ReferenceEditDistance(x, y))
-        << "x='" << x << "' y='" << y << "'";
-  }
-}
-
-TEST(OsaDistanceTest, SingleSwapIsAlwaysOne) {
-  Xoshiro256 rng(0x05B);
-  for (int t = 0; t < 200; ++t) {
-    std::string x = RandomString(&rng, "abcdefgh", 2, 20);
-    std::string y = x;
-    const size_t i = rng.Uniform(y.size() - 1);
-    std::swap(y[i], y[i + 1]);
-    EXPECT_LE(OsaDistance(x, y), 1);
-  }
-}
-
-TEST(BoundedOsaTest, AgreesWithUnbounded) {
-  Xoshiro256 rng(0x05C);
-  EditDistanceWorkspace ws;
-  for (int t = 0; t < 300; ++t) {
-    const std::string x = RandomString(&rng, "abcd", 0, 25);
-    const std::string y = RandomString(&rng, "abcd", 0, 25);
-    const int expected = OsaDistance(x, y);
-    for (int k : {0, 1, 2, 3, 6, 12}) {
-      const int got = BoundedOsa(x, y, k, &ws);
-      if (expected <= k) {
-        ASSERT_EQ(got, expected)
-            << "x='" << x << "' y='" << y << "' k=" << k;
-      } else {
-        ASSERT_GT(got, k) << "x='" << x << "' y='" << y << "' k=" << k;
-      }
-    }
-  }
-}
-
 TEST(EditDistanceTest, ConvenienceOverloadMatches) {
   EXPECT_EQ(BoundedEditDistance("kitten", "sitting", 4), 3);
   EXPECT_GT(BoundedEditDistance("kitten", "sitting", 1), 1);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "approx/approx_searcher.h"
+#include "core/engine_host.h"
 #include "core/searcher.h"
 #include "io/snapshot.h"
 #include "server/client.h"
@@ -423,12 +424,10 @@ TEST(StatsConsistencyTest, ServingWindowFunnelInvariants) {
   options.host = "127.0.0.1";
   options.port = 0;
   options.stats = &sink;
+  EngineHost host(std::vector<EngineSpec>{});
+  ASSERT_TRUE(testing::PublishEngine(&host, searcher.get()).ok());
   server::Server server(options);
-  ASSERT_TRUE(server
-                  .RegisterEngine(
-                      static_cast<uint8_t>(EngineKind::kSequentialScan),
-                      searcher.get())
-                  .ok());
+  ASSERT_TRUE(server.RegisterHost(&host).ok());
   ASSERT_TRUE(server.Start().ok());
   auto client = server::Client::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(client.ok());

@@ -286,13 +286,10 @@ class ServerFaultTest : public FaultInjectionTest {
     dataset_ = RandomDataset(&rng, "abcd", 200, 1, 12);
     searcher_ = std::move(MakeSearcher(EngineKind::kSequentialScan, dataset_))
                     .ValueOrDie();
+    ASSERT_TRUE(testing::PublishEngine(&host_, searcher_.get()).ok());
     server::ServerOptions options;
     server_ = std::make_unique<server::Server>(options);
-    ASSERT_TRUE(server_
-                    ->RegisterEngine(
-                        static_cast<uint8_t>(EngineKind::kSequentialScan),
-                        searcher_.get())
-                    .ok());
+    ASSERT_TRUE(server_->RegisterHost(&host_).ok());
     ASSERT_TRUE(server_->Start().ok());
   }
 
@@ -312,6 +309,7 @@ class ServerFaultTest : public FaultInjectionTest {
 
   Dataset dataset_{"empty", AlphabetKind::kGeneric};
   std::unique_ptr<Searcher> searcher_;
+  EngineHost host_{std::vector<EngineSpec>{}};
   std::unique_ptr<server::Server> server_;
 };
 

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/engine_host.h"
 #include "core/searcher.h"
 #include "server/channel.h"
 #include "server/client.h"
@@ -151,12 +152,10 @@ TEST_F(ChannelTest, SixtyFourConcurrentCallsMultiplexOverOneConnection) {
   options.host = "127.0.0.1";
   options.port = 0;
   options.max_inflight = kCallers * 2;
+  EngineHost host(std::vector<EngineSpec>{});
+  ASSERT_TRUE(testing::PublishEngine(&host, &gated).ok());
   Server server(options);
-  ASSERT_TRUE(server
-                  .RegisterEngine(
-                      static_cast<uint8_t>(EngineKind::kSequentialScan),
-                      &gated)
-                  .ok());
+  ASSERT_TRUE(server.RegisterHost(&host).ok());
   ASSERT_TRUE(server.Start().ok());
 
   Xoshiro256 rng(0x64CA);

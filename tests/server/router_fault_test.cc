@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "core/engine_host.h"
 #include "core/searcher.h"
 #include "server/client.h"
 #include "server/router.h"
@@ -36,25 +37,23 @@ class RouterFaultTest : public ::testing::Test {
     FailPoints::Instance().DisableAll();
     FailPoints::Instance().ClearCounts();
     Xoshiro256 rng(0x404);
-    // Engines borrow the datasets and servers borrow the engines, so the
-    // containers must never reallocate once handed out.
+    // Scans borrow the datasets, hosts the scans and servers the hosts,
+    // so the datasets must never reallocate once handed out.
     datasets_.reserve(2);
-    engines_.reserve(2);
-    servers_.reserve(2);
     for (int i = 0; i < 2; ++i) {
       datasets_.push_back(RandomDataset(&rng, kAlpha, 200, 3, 10));
       auto scan = MakeSearcher(EngineKind::kSequentialScan, datasets_[i]);
       ASSERT_TRUE(scan.ok());
-      engines_.push_back(std::move(*scan));
+      scans_.push_back(std::move(*scan));
+      hosts_.push_back(
+          std::make_unique<EngineHost>(std::vector<EngineSpec>{}));
+      ASSERT_TRUE(
+          testing::PublishEngine(hosts_[i].get(), scans_[i].get()).ok());
       ServerOptions options;
       options.host = "127.0.0.1";
       options.port = 0;
       auto server = std::make_unique<Server>(options);
-      ASSERT_TRUE(server
-                      ->RegisterEngine(static_cast<uint8_t>(
-                                           EngineKind::kSequentialScan),
-                                       engines_[i].get())
-                      .ok());
+      ASSERT_TRUE(server->RegisterHost(hosts_[i].get()).ok());
       ASSERT_TRUE(server->Start().ok());
       servers_.push_back(std::move(server));
     }
@@ -86,7 +85,8 @@ class RouterFaultTest : public ::testing::Test {
   }
 
   std::vector<Dataset> datasets_;
-  std::vector<std::unique_ptr<Searcher>> engines_;
+  std::vector<std::unique_ptr<Searcher>> scans_;
+  std::vector<std::unique_ptr<EngineHost>> hosts_;
   std::vector<std::unique_ptr<Server>> servers_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -10,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/engine_host.h"
 #include "core/searcher.h"
 #include "server/client.h"
 #include "server/protocol.h"
@@ -313,12 +315,10 @@ TEST(RouterTest, BreakerOpensShortCircuitsAndRecovers) {
   ServerOptions server_options;
   server_options.host = "127.0.0.1";
   server_options.port = port;
+  EngineHost host(std::vector<EngineSpec>{});
+  ASSERT_TRUE(testing::PublishEngine(&host, scan->get()).ok());
   Server server(server_options);
-  ASSERT_TRUE(
-      server
-          .RegisterEngine(static_cast<uint8_t>(EngineKind::kSequentialScan),
-                          scan->get())
-          .ok());
+  ASSERT_TRUE(server.RegisterHost(&host).ok());
   ASSERT_TRUE(server.Start().ok());
 
   std::this_thread::sleep_for(
@@ -430,6 +430,126 @@ TEST(RouterTest, ServerFrontEndCarriesRouterResponsesOverTheWire) {
   EXPECT_EQ(server.counters().requests_ok.load(), 1u);
   EXPECT_EQ(server.counters().requests_rejected.load(), 1u);
   server.Stop();
+}
+
+// Engine wrapper that stalls inside Search until released (or stopped via
+// the context), so a test can hold every fan-out open at once.
+class GatedSearcher : public Searcher {
+ public:
+  explicit GatedSearcher(const Searcher* inner) : inner_(inner) {}
+
+  Status Search(const Query& query, const SearchContext& ctx,
+                MatchList* out) const override {
+    while (!released_.load(std::memory_order_acquire)) {
+      if (ctx.StopRequested()) {
+        out->clear();
+        return ctx.StopStatus();
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return inner_->Search(query, ctx, out);
+  }
+
+  std::string name() const override { return "gated_" + inner_->name(); }
+
+  void Release() { released_.store(true, std::memory_order_release); }
+
+ private:
+  const Searcher* inner_;
+  std::atomic<bool> released_{false};
+};
+
+// Concurrent fan-outs share one channel per shard: 8 Dispatch calls over two
+// in-process shard servers (each serving half of a collection) are all in
+// flight on both shards before any shard answers, so every call after the
+// first multiplexes — and none of them costs a shard error. The merged
+// answers are the whole collection's.
+TEST(RouterTest, ConcurrentDispatchesMultiplexOverTwoShardChannels) {
+  constexpr size_t kShards = 2;
+  constexpr size_t kCallers = 8;
+  Xoshiro256 rng(0x2C4A);
+  const Dataset whole = RandomDataset(&rng, kAlpha, 200, 3, 10);
+  auto whole_scan = MakeSearcher(EngineKind::kSequentialScan, whole);
+  ASSERT_TRUE(whole_scan.ok());
+
+  const size_t half = (whole.size() + 1) / kShards;
+  std::vector<Dataset> slices;
+  slices.reserve(kShards);
+  for (size_t s = 0; s < kShards; ++s) {
+    Dataset slice("shard" + std::to_string(s), AlphabetKind::kGeneric);
+    for (size_t i = s * half; i < std::min(whole.size(), (s + 1) * half);
+         ++i) {
+      slice.Add(whole.View(i));
+    }
+    slices.push_back(std::move(slice));
+  }
+  std::vector<std::unique_ptr<Searcher>> scans;
+  std::vector<std::unique_ptr<GatedSearcher>> gates;
+  std::vector<std::unique_ptr<EngineHost>> hosts;
+  std::vector<std::unique_ptr<Server>> servers;
+  std::vector<ShardSpec> specs;
+  for (size_t s = 0; s < kShards; ++s) {
+    auto scan = MakeSearcher(EngineKind::kSequentialScan, slices[s]);
+    ASSERT_TRUE(scan.ok());
+    scans.push_back(std::move(*scan));
+    gates.push_back(std::make_unique<GatedSearcher>(scans.back().get()));
+    hosts.push_back(std::make_unique<EngineHost>(std::vector<EngineSpec>{}));
+    ASSERT_TRUE(
+        testing::PublishEngine(hosts.back().get(), gates.back().get()).ok());
+    ServerOptions options;
+    options.host = "127.0.0.1";
+    options.port = 0;
+    auto server = std::make_unique<Server>(options);
+    ASSERT_TRUE(server->RegisterHost(hosts.back().get()).ok());
+    ASSERT_TRUE(server->Start().ok());
+    specs.push_back(
+        {"127.0.0.1", server->port(), static_cast<uint32_t>(s * half)});
+    servers.push_back(std::move(server));
+  }
+
+  StatsSink sink;
+  RouterOptions options = QuickOptions();
+  options.default_deadline_ms = 10000;
+  options.stats = &sink;  // hedging stays off: every call rides the channel
+  Router router(ShardSet(specs), options);
+
+  std::vector<std::string> queries;
+  for (size_t t = 0; t < kCallers; ++t) {
+    queries.push_back(testing::RandomString(&rng, kAlpha, 3, 10));
+  }
+  std::vector<Response> responses(kCallers);
+  std::vector<std::thread> callers;
+  for (size_t t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      Request request = SearchRequest();
+      request.k = 2;
+      request.query = queries[t];
+      responses[t] = router.Dispatch(request);
+    });
+  }
+  // Admission slots are claimed as frames are decoded, so once each shard
+  // holds every caller's request, all of them were written to the shared
+  // channels while the first was still unanswered.
+  for (const auto& server : servers) {
+    while (server->inflight() < kCallers) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  for (const auto& gate : gates) gate->Release();
+  for (std::thread& caller : callers) caller.join();
+
+  for (size_t t = 0; t < kCallers; ++t) {
+    EXPECT_EQ(responses[t].code, StatusCode::kOk) << "caller " << t;
+    EXPECT_FALSE(responses[t].degraded) << "caller " << t;
+    EXPECT_EQ(responses[t].matches,
+              (*whole_scan)->Search(Query{queries[t], 2}))
+        << "caller " << t;
+  }
+  const SearchStats stats = sink.Collected();
+  EXPECT_EQ(stats.router_requests, kCallers);
+  EXPECT_GT(stats.router_channel_multiplexed, 0u);
+  EXPECT_EQ(stats.router_shard_errors, 0u);
+  for (const auto& server : servers) server->Stop();
 }
 
 TEST(RouterTest, ShardLossMidStreamDegradesInsteadOfFailing) {

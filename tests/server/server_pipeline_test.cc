@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/engine_host.h"
 #include "core/searcher.h"
 #include "server/client.h"
 #include "server/protocol.h"
@@ -92,18 +93,20 @@ class ServerPipelineTest : public ::testing::Test {
                                       const Searcher* engine = nullptr) {
     options.host = "127.0.0.1";
     options.port = 0;
+    hosts_.push_back(std::make_unique<EngineHost>(std::vector<EngineSpec>{}));
+    EXPECT_TRUE(testing::PublishEngine(
+                    hosts_.back().get(),
+                    engine != nullptr ? engine : scan_.get())
+                    .ok());
     auto server = std::make_unique<Server>(options);
-    EXPECT_TRUE(
-        server
-            ->RegisterEngine(static_cast<uint8_t>(EngineKind::kSequentialScan),
-                             engine != nullptr ? engine : scan_.get())
-            .ok());
+    EXPECT_TRUE(server->RegisterHost(hosts_.back().get()).ok());
     EXPECT_TRUE(server->Start().ok());
     return server;
   }
 
   Dataset dataset_{"empty", AlphabetKind::kGeneric};
   std::unique_ptr<Searcher> scan_;
+  std::vector<std::unique_ptr<EngineHost>> hosts_;  // outlive the servers
 };
 
 // --------------------------------------------------------------------------
@@ -173,10 +176,10 @@ TEST_F(ServerPipelineTest, OutOfOrderResponsesMatchIdsExactly) {
 }
 
 // --------------------------------------------------------------------------
-// Pipelined answers against the real engine agree with lock-step answers.
+// Pipelined answers against the real engine agree with lock-step answers,
+// and every exchange completes, at each pipeline depth from 1 to 32.
 // --------------------------------------------------------------------------
 TEST_F(ServerPipelineTest, PipelinedAnswersMatchLockStepAnswers) {
-  constexpr size_t kDepth = 16;
   auto server = StartServer(ServerOptions());
   auto pipelined = Client::Connect("127.0.0.1", server->port());
   auto lockstep = Client::Connect("127.0.0.1", server->port());
@@ -184,29 +187,36 @@ TEST_F(ServerPipelineTest, PipelinedAnswersMatchLockStepAnswers) {
   ASSERT_TRUE(lockstep.ok());
 
   Xoshiro256 rng(0xF1FE);
-  std::vector<std::string> queries;
-  std::map<uint64_t, size_t> sent;
-  for (size_t i = 0; i < kDepth; ++i) {
-    queries.push_back(testing::RandomString(&rng, kAlpha, 3, 10));
-    Request request;
-    request.engine = kAnyEngine;
-    request.k = 2;
-    request.query = queries.back();
-    auto id = pipelined->Send(std::move(request));
-    ASSERT_TRUE(id.ok());
-    sent.emplace(*id, i);
+  size_t total = 0;
+  for (const size_t depth : {1, 2, 8, 16, 32}) {
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    std::vector<std::string> queries;
+    std::map<uint64_t, size_t> sent;
+    for (size_t i = 0; i < depth; ++i) {
+      queries.push_back(testing::RandomString(&rng, kAlpha, 3, 10));
+      Request request;
+      request.engine = kAnyEngine;
+      request.k = 2;
+      request.query = queries.back();
+      auto id = pipelined->Send(std::move(request));
+      ASSERT_TRUE(id.ok());
+      sent.emplace(*id, i);
+    }
+    for (size_t n = 0; n < depth; ++n) {
+      Response got;
+      ASSERT_TRUE(pipelined->Receive(&got).ok());
+      EXPECT_EQ(got.code, StatusCode::kOk);
+      ASSERT_EQ(sent.count(got.request_id), 1u);
+      Response want;
+      ASSERT_TRUE(
+          lockstep->Search(queries[sent[got.request_id]], 2, 0, &want).ok());
+      EXPECT_EQ(got.matches, want.matches);
+      sent.erase(got.request_id);  // each id is answered exactly once
+    }
+    EXPECT_EQ(pipelined->outstanding(), 0u);
+    total += 2 * depth;  // the pipelined request and its lock-step twin
   }
-  for (size_t n = 0; n < kDepth; ++n) {
-    Response got;
-    ASSERT_TRUE(pipelined->Receive(&got).ok());
-    EXPECT_EQ(got.code, StatusCode::kOk);
-    ASSERT_TRUE(sent.count(got.request_id));
-    Response want;
-    ASSERT_TRUE(
-        lockstep->Search(queries[sent[got.request_id]], 2, 0, &want).ok());
-    EXPECT_EQ(got.matches, want.matches);
-  }
-  EXPECT_EQ(pipelined->outstanding(), 0u);
+  EXPECT_EQ(server->counters().requests_ok.load(), total);
 }
 
 // --------------------------------------------------------------------------

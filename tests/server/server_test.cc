@@ -81,24 +81,26 @@ class ServerTest : public ::testing::Test {
     scan_ = std::move(*scan);
   }
 
-  // Starts a server over scan_ (or `engine` if given) on an ephemeral port.
+  // Starts a server over scan_ (or `engine` if given) on an ephemeral port,
+  // served from a host of its own.
   std::unique_ptr<Server> StartServer(ServerOptions options,
                                       const Searcher* engine = nullptr) {
     options.host = "127.0.0.1";
     options.port = 0;
+    hosts_.push_back(std::make_unique<EngineHost>(std::vector<EngineSpec>{}));
+    EXPECT_TRUE(testing::PublishEngine(
+                    hosts_.back().get(),
+                    engine != nullptr ? engine : scan_.get())
+                    .ok());
     auto server = std::make_unique<Server>(options);
-    EXPECT_TRUE(
-        server
-            ->RegisterEngine(
-                static_cast<uint8_t>(EngineKind::kSequentialScan),
-                engine != nullptr ? engine : scan_.get())
-            .ok());
+    EXPECT_TRUE(server->RegisterHost(hosts_.back().get()).ok());
     EXPECT_TRUE(server->Start().ok());
     return server;
   }
 
   Dataset dataset_{"empty", AlphabetKind::kGeneric};
   std::unique_ptr<Searcher> scan_;
+  std::vector<std::unique_ptr<EngineHost>> hosts_;  // outlive the servers
 };
 
 TEST_F(ServerTest, StartStopIsClean) {
@@ -485,17 +487,16 @@ TEST_F(ServerHostTest, RegistrationAfterStartIsRejectedEvenOnceStopped) {
   ASSERT_TRUE(server.RegisterHost(&host).ok());
   ASSERT_TRUE(server.Start().ok());
 
-  // The engine table is read lock-free by handler threads: once the server
-  // has ever started, registration stays closed — including after Stop(),
-  // when handlers may still be draining.
-  Dataset extra("x", AlphabetKind::kGeneric);
-  extra.Add("zz");
-  auto other = MakeSearcher(EngineKind::kSequentialScan, extra);
-  ASSERT_TRUE(other.ok());
-  EXPECT_TRUE(server.RegisterEngine(7, other->get()).IsInvalid());
+  // The backend is read lock-free by worker threads: once the server has
+  // ever started, registration stays closed — including after Stop(), when
+  // workers may still be draining.
+  const Server::RequestHandler handler = [](const Request&) {
+    return Response();
+  };
+  EXPECT_TRUE(server.RegisterHandler(handler).IsInvalid());
   EXPECT_TRUE(server.RegisterHost(&host).IsInvalid());
   server.Stop();
-  EXPECT_TRUE(server.RegisterEngine(7, other->get()).IsInvalid());
+  EXPECT_TRUE(server.RegisterHandler(handler).IsInvalid());
   EXPECT_TRUE(server.RegisterHost(&host).IsInvalid());
 }
 
@@ -559,34 +560,6 @@ TEST_F(ServerHostTest, AdminReloadPublishesANewGenerationAndNewAnswers) {
   EXPECT_EQ(server.counters().reloads_failed.load(), 1u);
   ASSERT_TRUE(client->Search("aaaa", 0, 0, &response).ok());
   EXPECT_EQ(response.matches.size(), 9u);
-  server.Stop();
-}
-
-TEST_F(ServerHostTest, AdminFramesWithoutAHostAreRejectedNotFatal) {
-  Xoshiro256 rng(0x05E1);
-  Dataset dataset = RandomDataset(&rng, kAlpha, 50, 3, 8);
-  auto scan = MakeSearcher(EngineKind::kSequentialScan, dataset);
-  ASSERT_TRUE(scan.ok());
-
-  ServerOptions options;
-  options.host = "127.0.0.1";
-  Server server(options);
-  ASSERT_TRUE(server
-                  .RegisterEngine(
-                      static_cast<uint8_t>(EngineKind::kSequentialScan),
-                      scan->get())
-                  .ok());
-  ASSERT_TRUE(server.Start().ok());
-  auto client = Client::Connect("127.0.0.1", server.port());
-  ASSERT_TRUE(client.ok());
-
-  Response response;
-  ASSERT_TRUE(client->Reload("", &response).ok());
-  EXPECT_EQ(response.code, StatusCode::kInvalid);
-  // Statically registered engines still report their snapshot's version.
-  ASSERT_TRUE(client->Search("abc", 1, 0, &response).ok());
-  EXPECT_EQ(response.code, StatusCode::kOk);
-  EXPECT_NE(response.generation, 0u);
   server.Stop();
 }
 

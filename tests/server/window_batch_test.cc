@@ -1,7 +1,8 @@
 // Window-batch conformance for the reactor's batch-native dispatch: a
 // pipelined window decoded in one drain runs as ONE Searcher::SearchBatch,
 // and that must be invisible to clients — every response byte-identical per
-// id to what lock-step calls produce, across all five execution strategies,
+// id to what lock-step calls produce under the kSharded dispatch the server
+// runs (differential_test holds the five strategies to each other),
 // including windows truncated mid-flight by a deadline. The suite name
 // matches the sanitizer CI regex (WindowBatch).
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/engine_host.h"
 #include "core/searcher.h"
 #include "server/client.h"
 #include "server/protocol.h"
@@ -29,11 +31,6 @@ namespace {
 using testing::RandomDataset;
 
 constexpr std::string_view kAlpha = "abcdefghijklmnopqrstuvwxyz";
-
-constexpr ExecutionStrategy kAllStrategies[] = {
-    ExecutionStrategy::kSerial, ExecutionStrategy::kThreadPerQuery,
-    ExecutionStrategy::kFixedPool, ExecutionStrategy::kAdaptive,
-    ExecutionStrategy::kSharded};
 
 // Engine wrapper: queries starting with '!' stall until the context stops
 // them (deadline/cancellation); everything else passes through. Lets a test
@@ -93,12 +90,13 @@ class WindowBatchTest : public ::testing::Test {
                                       const Searcher* engine = nullptr) {
     options.host = "127.0.0.1";
     options.port = 0;
+    hosts_.push_back(std::make_unique<EngineHost>(std::vector<EngineSpec>{}));
+    EXPECT_TRUE(testing::PublishEngine(
+                    hosts_.back().get(),
+                    engine != nullptr ? engine : scan_.get())
+                    .ok());
     auto server = std::make_unique<Server>(options);
-    EXPECT_TRUE(
-        server
-            ->RegisterEngine(static_cast<uint8_t>(EngineKind::kSequentialScan),
-                             engine != nullptr ? engine : scan_.get())
-            .ok());
+    EXPECT_TRUE(server->RegisterHost(hosts_.back().get()).ok());
     EXPECT_TRUE(server->Start().ok());
     return server;
   }
@@ -120,67 +118,64 @@ class WindowBatchTest : public ::testing::Test {
 
   Dataset dataset_{"empty", AlphabetKind::kGeneric};
   std::unique_ptr<Searcher> scan_;
+  std::vector<std::unique_ptr<EngineHost>> hosts_;  // outlive the servers
 };
 
 // --------------------------------------------------------------------------
 // The core equivalence claim: a depth-8 window dispatched as one batch
 // produces, per request id, the byte-identical response frame a lock-step
-// client gets — under every execution strategy the dispatcher can pick.
+// client gets.
 // --------------------------------------------------------------------------
-TEST_F(WindowBatchTest, WindowBatchMatchesLockStepAcrossAllStrategies) {
+TEST_F(WindowBatchTest, WindowBatchMatchesLockStep) {
   constexpr size_t kDepth = 8;
-  for (ExecutionStrategy strategy : kAllStrategies) {
-    SCOPED_TRACE(ToString(strategy));
-    StatsSink sink;
-    ServerOptions options;
-    options.stats = &sink;
-    options.batch_strategy = strategy;
-    auto server = StartServer(options);
-    auto lockstep = Client::Connect("127.0.0.1", server->port());
-    ASSERT_TRUE(lockstep.ok());
+  StatsSink sink;
+  ServerOptions options;
+  options.stats = &sink;
+  auto server = StartServer(options);
+  auto lockstep = Client::Connect("127.0.0.1", server->port());
+  ASSERT_TRUE(lockstep.ok());
 
-    Xoshiro256 rng(0xBEEF ^ static_cast<uint64_t>(strategy));
-    // Retry until at least one window actually formed: the 8 frames go out
-    // in one write, but TCP may (rarely) split them across drains.
-    bool batched = false;
-    for (int round = 0; round < 20 && !batched; ++round) {
-      std::vector<Request> window;
-      std::vector<std::string> queries;
-      for (size_t i = 0; i < kDepth; ++i) {
-        queries.push_back(testing::RandomString(&rng, kAlpha, 3, 10));
-        Request request;
-        request.request_id = 100 + i;
-        request.engine = kAnyEngine;
-        request.k = 2;
-        request.query = queries.back();
-        window.push_back(std::move(request));
-      }
-      auto sock = net::ConnectTcp("127.0.0.1", server->port());
-      ASSERT_TRUE(sock.ok());
-      std::map<uint64_t, Response> responses;
-      ASSERT_TRUE(ExchangeWindow(sock->fd(), window, &responses));
-      ASSERT_EQ(responses.size(), kDepth);
-
-      for (size_t i = 0; i < kDepth; ++i) {
-        ASSERT_TRUE(responses.count(100 + i)) << "id " << 100 + i;
-        const Response& got = responses[100 + i];
-        EXPECT_EQ(got.code, StatusCode::kOk);
-        Response want;
-        ASSERT_TRUE(lockstep->Search(queries[i], 2, 0, &want).ok());
-        want.request_id = got.request_id;
-        std::string got_frame;
-        std::string want_frame;
-        EncodeResponse(got, &got_frame);
-        EncodeResponse(want, &want_frame);
-        EXPECT_EQ(got_frame, want_frame) << "query " << queries[i];
-      }
-      batched = sink.Collected().server_windows_batched > 0;
+  Xoshiro256 rng(0xBEEF);
+  // Retry until at least one window actually formed: the 8 frames go out
+  // in one write, but TCP may (rarely) split them across drains.
+  bool batched = false;
+  for (int round = 0; round < 20 && !batched; ++round) {
+    std::vector<Request> window;
+    std::vector<std::string> queries;
+    for (size_t i = 0; i < kDepth; ++i) {
+      queries.push_back(testing::RandomString(&rng, kAlpha, 3, 10));
+      Request request;
+      request.request_id = 100 + i;
+      request.engine = kAnyEngine;
+      request.k = 2;
+      request.query = queries.back();
+      window.push_back(std::move(request));
     }
-    EXPECT_TRUE(batched) << "no window ever formed under " << ToString(strategy);
-    const SearchStats collected = sink.Collected();
-    EXPECT_GE(collected.server_window_depth_sum,
-              2 * collected.server_windows_batched);
+    auto sock = net::ConnectTcp("127.0.0.1", server->port());
+    ASSERT_TRUE(sock.ok());
+    std::map<uint64_t, Response> responses;
+    ASSERT_TRUE(ExchangeWindow(sock->fd(), window, &responses));
+    ASSERT_EQ(responses.size(), kDepth);
+
+    for (size_t i = 0; i < kDepth; ++i) {
+      ASSERT_TRUE(responses.count(100 + i)) << "id " << 100 + i;
+      const Response& got = responses[100 + i];
+      EXPECT_EQ(got.code, StatusCode::kOk);
+      Response want;
+      ASSERT_TRUE(lockstep->Search(queries[i], 2, 0, &want).ok());
+      want.request_id = got.request_id;
+      std::string got_frame;
+      std::string want_frame;
+      EncodeResponse(got, &got_frame);
+      EncodeResponse(want, &want_frame);
+      EXPECT_EQ(got_frame, want_frame) << "query " << queries[i];
+    }
+    batched = sink.Collected().server_windows_batched > 0;
   }
+  EXPECT_TRUE(batched) << "no window ever formed";
+  const SearchStats collected = sink.Collected();
+  EXPECT_GE(collected.server_window_depth_sum,
+            2 * collected.server_windows_batched);
 }
 
 // --------------------------------------------------------------------------
@@ -195,7 +190,8 @@ TEST_F(WindowBatchTest, MidWindowDeadlineTruncationKeepsPerRequestVerdicts) {
   StatsSink sink;
   ServerOptions options;
   options.stats = &sink;
-  options.batch_threads = 0;  // one lane per query: stalls cannot starve
+  // A window runs one lane per query, so the stalled half cannot starve
+  // the rest.
   auto server = StartServer(options, &stalled);
   auto lockstep = Client::Connect("127.0.0.1", server->port());
   ASSERT_TRUE(lockstep.ok());

@@ -1,13 +1,16 @@
 // Shared test helpers: an independent brute-force edit-distance reference
 // (deliberately written differently from any library kernel), random string
-// factories, and a brute-force similarity search.
+// factories, a brute-force similarity search, and a one-engine EngineHost
+// generation for serving test engines.
 #pragma once
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "core/engine_host.h"
 #include "io/dataset.h"
 #include "util/random.h"
 
@@ -71,6 +74,22 @@ inline MatchList BruteForceSearch(const Dataset& dataset,
     }
   }
   return out;
+}
+
+/// \brief Publishes `engine` (borrowed; must outlive every pin of the
+/// generation) as `host`'s only engine: under wire id 0
+/// (uint8_t(EngineKind::kSequentialScan)) and as the default for requests
+/// that name none. The generation is the version of
+/// the snapshot the engine searches (0 for wrappers that report none). This
+/// is how servers in tests serve engines an EngineHost cannot build, such
+/// as searchers that stall on cue.
+inline Status PublishEngine(EngineHost* host, const Searcher* engine) {
+  auto set = std::make_shared<EngineSet>();
+  set->snapshot = engine->SearchedSnapshot();
+  set->generation = set->snapshot == nullptr ? 0 : set->snapshot->version();
+  set->by_id[0] = engine;
+  set->default_engine = engine;
+  return host->Publish(std::move(set));
 }
 
 }  // namespace sss::testing

@@ -11,150 +11,6 @@
 namespace sss {
 namespace {
 
-TEST(DnaCodecTest, EncodeDecodeAllSymbols) {
-  for (int i = 0; i < DnaCodec::kAlphabetSize; ++i) {
-    const char c = DnaCodec::kAlphabet[i];
-    EXPECT_EQ(DnaCodec::Encode(c), i);
-    EXPECT_EQ(DnaCodec::Decode(static_cast<uint8_t>(i)), c);
-  }
-}
-
-TEST(DnaCodecTest, RejectsForeignSymbols) {
-  EXPECT_EQ(DnaCodec::Encode('a'), DnaCodec::kInvalidCode);  // lowercase
-  EXPECT_EQ(DnaCodec::Encode('X'), DnaCodec::kInvalidCode);
-  EXPECT_EQ(DnaCodec::Encode(' '), DnaCodec::kInvalidCode);
-  EXPECT_EQ(DnaCodec::Encode('\0'), DnaCodec::kInvalidCode);
-}
-
-TEST(DnaCodecTest, IsValidChecksWholeString) {
-  EXPECT_TRUE(DnaCodec::IsValid("ACGTN"));
-  EXPECT_TRUE(DnaCodec::IsValid(""));
-  EXPECT_FALSE(DnaCodec::IsValid("ACGTX"));
-  EXPECT_FALSE(DnaCodec::IsValid("acgt"));
-}
-
-TEST(PackedDnaTest, EmptyString) {
-  auto packed = PackedDna::Pack("");
-  ASSERT_TRUE(packed.ok());
-  EXPECT_EQ(packed->size(), 0u);
-  EXPECT_EQ(packed->Unpack(), "");
-}
-
-TEST(PackedDnaTest, RoundTripsShortString) {
-  auto packed = PackedDna::Pack("AGGCGT");
-  ASSERT_TRUE(packed.ok());
-  EXPECT_EQ(packed->size(), 6u);
-  EXPECT_EQ(packed->Unpack(), "AGGCGT");
-  EXPECT_EQ(packed->At(0), 'A');
-  EXPECT_EQ(packed->At(5), 'T');
-}
-
-TEST(PackedDnaTest, RoundTripsAcrossWordBoundary) {
-  // 21 symbols per word; use lengths around multiples of 21.
-  for (size_t len : {20u, 21u, 22u, 41u, 42u, 43u, 100u}) {
-    std::string s;
-    for (size_t i = 0; i < len; ++i) {
-      s.push_back(DnaCodec::kAlphabet[i % 5]);
-    }
-    auto packed = PackedDna::Pack(s);
-    ASSERT_TRUE(packed.ok()) << "len " << len;
-    EXPECT_EQ(packed->Unpack(), s) << "len " << len;
-  }
-}
-
-TEST(PackedDnaTest, RejectsInvalidSymbol) {
-  auto packed = PackedDna::Pack("ACGTZ");
-  EXPECT_FALSE(packed.ok());
-  EXPECT_TRUE(packed.status().IsInvalid());
-}
-
-TEST(PackedDnaTest, CompressionRatioIsThreeEighths) {
-  std::string s(168, 'A');  // 168 symbols = exactly 8 words = 64 bytes
-  auto packed = PackedDna::Pack(s);
-  ASSERT_TRUE(packed.ok());
-  EXPECT_EQ(packed->packed_bytes(), 64u);
-  // 64 / 168 ≈ 0.381 ≈ 3/8, the paper's dictionary-compression claim.
-  EXPECT_LT(static_cast<double>(packed->packed_bytes()) / s.size(), 0.4);
-}
-
-TEST(PackedDnaTest, RandomRoundTripSweep) {
-  Xoshiro256 rng(55);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::string s;
-    const size_t len = rng.Uniform(300);
-    for (size_t i = 0; i < len; ++i) {
-      s.push_back(DnaCodec::kAlphabet[rng.Uniform(5)]);
-    }
-    auto packed = PackedDna::Pack(s);
-    ASSERT_TRUE(packed.ok());
-    ASSERT_EQ(packed->Unpack(), s) << "trial " << trial;
-    for (size_t i = 0; i < len; ++i) {
-      ASSERT_EQ(packed->At(i), s[i]) << "trial " << trial << " pos " << i;
-    }
-  }
-}
-
-TEST(PackedDnaPoolTest, AddAndUnpackMany) {
-  Xoshiro256 rng(66);
-  PackedDnaPool pool;
-  std::vector<std::string> truth;
-  for (int i = 0; i < 500; ++i) {
-    std::string s;
-    const size_t len = 80 + rng.Uniform(40);
-    for (size_t j = 0; j < len; ++j) {
-      s.push_back(DnaCodec::kAlphabet[rng.Uniform(5)]);
-    }
-    auto id = pool.Add(s);
-    ASSERT_TRUE(id.ok());
-    EXPECT_EQ(*id, static_cast<uint32_t>(i));
-    truth.push_back(s);
-  }
-  ASSERT_EQ(pool.size(), truth.size());
-  for (size_t i = 0; i < truth.size(); ++i) {
-    ASSERT_EQ(pool.Unpack(i), truth[i]) << "id " << i;
-    ASSERT_EQ(pool.Length(i), truth[i].size());
-  }
-}
-
-TEST(PackedDnaPoolTest, CodeAtMatchesSource) {
-  PackedDnaPool pool;
-  ASSERT_TRUE(pool.Add("ACGNT").ok());
-  ASSERT_TRUE(pool.Add("TTTAA").ok());
-  EXPECT_EQ(pool.CodeAt(0, 0), DnaCodec::Encode('A'));
-  EXPECT_EQ(pool.CodeAt(0, 3), DnaCodec::Encode('N'));
-  EXPECT_EQ(pool.CodeAt(1, 0), DnaCodec::Encode('T'));
-  EXPECT_EQ(pool.CodeAt(1, 4), DnaCodec::Encode('A'));
-}
-
-TEST(PackedDnaPoolTest, InvalidAddRollsBack) {
-  PackedDnaPool pool;
-  ASSERT_TRUE(pool.Add("ACGT").ok());
-  const size_t bytes_before = pool.packed_bytes();
-  EXPECT_FALSE(pool.Add("ACGTQ").ok());
-  EXPECT_EQ(pool.size(), 1u);
-  EXPECT_EQ(pool.packed_bytes(), bytes_before);
-  EXPECT_EQ(pool.Unpack(0), "ACGT");  // earlier entry intact
-}
-
-TEST(PackedDnaPoolTest, DecodeCodesMatchesUnpack) {
-  PackedDnaPool pool;
-  ASSERT_TRUE(pool.Add("GATTACANNNGATTACAGATTACAGG").ok());
-  std::vector<uint8_t> codes;
-  pool.DecodeCodes(0, &codes);
-  const std::string text = pool.Unpack(0);
-  ASSERT_EQ(codes.size(), text.size());
-  for (size_t i = 0; i < codes.size(); ++i) {
-    EXPECT_EQ(DnaCodec::Decode(codes[i]), text[i]);
-  }
-}
-
-TEST(PackedDnaPoolTest, TotalSymbolsAccumulates) {
-  PackedDnaPool pool;
-  ASSERT_TRUE(pool.Add("ACG").ok());
-  ASSERT_TRUE(pool.Add("TTTT").ok());
-  EXPECT_EQ(pool.total_symbols(), 7u);
-}
-
 // --- 2-bit codec (the lane kernels' packed2 column encoding).
 
 TEST(Dna2CodecTest, EncodeDecodeAllSymbols) {

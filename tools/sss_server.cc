@@ -16,7 +16,9 @@
 // fresh generation from the --data file with zero downtime: in-flight
 // requests drain on the old snapshot while new ones see the new
 // generation. --reload-on-sighup=false leaves SIGHUP at its default
-// (fatal) disposition.
+// (fatal) disposition. The search frames decoded from a connection in one
+// drain run as one SearchBatch window: serially when the window holds one
+// query, kSharded with one lane per query otherwise.
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -72,14 +74,6 @@ int Usage() {
       "                     0 disables (default 30000)\n"
       "  --deadline-ms MS   server-side cap on request deadlines; requests\n"
       "                     without one get the cap (default 0 = uncapped)\n"
-      "  --batch-threshold N\n"
-      "                     the search frames decoded from a connection in\n"
-      "                     one drain run as one SearchBatch window (a lone\n"
-      "                     request is a window of one); windows of >= N\n"
-      "                     queries run the parallel batch strategy, smaller\n"
-      "                     ones run serial (default 2)\n"
-      "  --batch-threads N  worker lanes per parallel window; 0 = one per\n"
-      "                     query in the window (default 0)\n"
       "  --backlog N        listen backlog (default 128)\n"
       "  --stats-json       print counters + SearchStats JSON at shutdown\n"
       "  --failpoint LIST   comma list of NAME=fail[:N] | NAME=sleep:MS[:N]\n"
@@ -243,20 +237,6 @@ int Run(const FlagSet& flags) {
     return kExitUsage;
   }
   options.idle_timeout_ms = static_cast<uint32_t>(*idle_timeout_ms);
-  Result<int64_t> batch_threshold = flags.GetInt("batch-threshold", 2);
-  if (!batch_threshold.ok()) return Fail(batch_threshold.status());
-  if (*batch_threshold < 0) {
-    std::fprintf(stderr, "sss_server: --batch-threshold must be >= 0\n");
-    return kExitUsage;
-  }
-  options.batch_parallel_threshold = static_cast<size_t>(*batch_threshold);
-  Result<int64_t> batch_threads = flags.GetInt("batch-threads", 0);
-  if (!batch_threads.ok()) return Fail(batch_threads.status());
-  if (*batch_threads < 0) {
-    std::fprintf(stderr, "sss_server: --batch-threads must be >= 0\n");
-    return kExitUsage;
-  }
-  options.batch_threads = static_cast<size_t>(*batch_threads);
   Result<int64_t> backlog = flags.GetInt("backlog", 128);
   if (!backlog.ok()) return Fail(backlog.status());
   options.backlog = static_cast<int>(*backlog);
